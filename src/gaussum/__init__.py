@@ -37,6 +37,7 @@ from .core import (
 from .overlaps import (
     branched_sqrt_det,
     coherent_overlap,
+    gram,
     overlap,
     overlaptriple,
     pair_fidelity,
@@ -115,6 +116,7 @@ __all__ = [
     "fast_norm_parameters",
     "gate_symplectic",
     "gkp_comb",
+    "gram",
     "hat_d",
     "hat_d_inv",
     "heterodyne_density",

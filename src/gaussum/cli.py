@@ -29,7 +29,7 @@ from .circuit import (
     simulate_approx,
     simulate_exact,
 )
-from .overlaps import overlap
+from .overlaps import gram
 from .superposition import exact_norm, fast_norm, superposition_energy_exact
 
 EXIT_OK = 0
@@ -87,10 +87,7 @@ def cmd_overlap(args: argparse.Namespace) -> int:
             f"circuits act on {spec_a.modes} and {spec_b.modes} modes")
     ev_a = evolve(psi_a, spec_a.gates)
     ev_b = evolve(psi_b, spec_b.gates)
-    total = 0.0 + 0.0j
-    for ca, da in ev_a.terms:
-        for cb, db in ev_b.terms:
-            total += np.conj(ca) * cb * overlap(da, db)
+    total = np.conj(ev_a.coeffs) @ gram(ev_a.branches, ev_b.branches) @ ev_b.coeffs
     _emit({"overlap": [total.real, total.imag], "magnitude": abs(total)})
     return EXIT_OK
 

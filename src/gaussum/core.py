@@ -22,6 +22,7 @@ indices at this module's boundary and nowhere else.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Union
 
 import numpy as np
@@ -41,7 +42,8 @@ class NumericError(ArithmeticError):
 
 
 class BranchPathError(NumericError):
-    """The square-root-of-determinant path refinement failed to converge."""
+    """A determinant square root has no tracked branch: the real part of
+    the matrix is not positive definite."""
 
 
 class DensityFloorError(NumericError):
@@ -56,25 +58,33 @@ class PhaseRecoveryError(NumericError):
 # Symplectic structure and displacement encoding
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def symplectic_form(n: int) -> np.ndarray:
-    """Return the 2n×2n symplectic form Ω = ⊕ₙ [[0, 1], [-1, 0]]."""
+    """Return the 2n×2n symplectic form Ω = ⊕ₙ [[0, 1], [-1, 0]].
+
+    The result is cached per n and read-only; copy it before writing.
+    """
     if n < 1:
         raise ValidationError(f"mode count must be >= 1, got {n}")
-    return np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    om = np.kron(np.eye(n), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+    om.flags.writeable = False
+    return om
 
 
 def hat_d(alpha: np.ndarray) -> np.ndarray:
     """Map a complex label α ∈ ℂⁿ to its phase-space center d̂(α) ∈ ℝ²ⁿ.
 
     d̂(α) = √2·(Re α₁, Im α₁, …, Re αₙ, Im αₙ), so ‖d̂(α)‖² = 2·‖α‖².
+    A scalar or 1-D label maps to a 1-D center; a stack of labels
+    (..., n) maps to a stack of centers (..., 2n).
     """
-    alpha = np.asarray(alpha, dtype=complex).reshape(-1)
-    if not np.all(np.isfinite(alpha.real) & np.isfinite(alpha.imag)):
+    alpha = np.ascontiguousarray(alpha, dtype=complex)
+    if alpha.ndim < 2:
+        alpha = alpha.reshape(-1)
+    if not np.isfinite(alpha).all():
         raise ValidationError("displacement label has non-finite entries")
-    d = np.empty(2 * alpha.size)
-    d[0::2] = SQRT2 * alpha.real
-    d[1::2] = SQRT2 * alpha.imag
-    return d
+    # a complex array viewed as floats interleaves (Re, Im) along its last axis
+    return SQRT2 * alpha.view(float)
 
 
 def hat_d_inv(d: np.ndarray) -> np.ndarray:
@@ -242,10 +252,12 @@ class GaussianDescription:
         """Mode count."""
         return self.alpha.size
 
-    @property
+    @cached_property
     def d(self) -> np.ndarray:
-        """Phase-space center d̂(alpha)."""
-        return hat_d(self.alpha)
+        """Phase-space center d̂(alpha), computed once and read-only."""
+        d = hat_d(self.alpha)
+        d.flags.writeable = False
+        return d
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,25 @@ overlap, phase included; this is how descriptions propagate their
 reference overlap r = ⟨α, ψ⟩ through squeezing and measurement, and how
 pairwise superposition overlaps are evaluated.
 
-Complex square roots of determinants are branch-tracked by deforming the
-matrix from its real part along M(t) = A + itB and following the
-eigenvalue phases of each step's multiplicative update, starting from the
-positive root at t = 0.
+The triple product and the determinant root accept stacks of inputs along
+leading axes, broadcast like numpy's batched linear algebra, so a whole
+Gram matrix or a cross-circuit overlap matrix comes from a few stacked
+calls (see gram); a single pair or triple is the unstacked case of the
+same code.
+
+Complex square roots of determinants need a branch.  Every matrix whose
+root is taken is complex symmetric, M = A + iB with A, B real and A ≻ 0.
+For an eigenpair Mx = λx, xᴴMx = xᴴAx + i·xᴴBx with both quadratic forms
+real, so Re λ = xᴴAx/‖x‖² > 0.  The same holds at every point of the path
+M(t) = A + itB, t ∈ [0, 1]: no eigenvalue crosses the cut of the principal
+logarithm, and Σᵢ Log λᵢ is the continuous continuation of log det A.
+The tracked root is therefore exp(½·Σᵢ Log λᵢ), in closed form.
 """
 
 from __future__ import annotations
+
+from functools import lru_cache
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -34,8 +46,70 @@ from .core import (
 #: Anchor overlaps smaller than this cannot be divided out reliably.
 ANCHOR_FLOOR = 1e-12
 
-#: Smallest step of the determinant branch deformation before giving up.
-_MIN_BRANCH_STEP = 2.0 ** -20
+#: Pairs per stacked kernel call in gram; bounds its working memory
+#: whatever the number of pairs (under a megabyte for n ≤ 2).
+GRAM_BLOCK = 512
+
+
+class BranchStack(NamedTuple):
+    """Descriptions stacked along leading axes; the input of the pair kernel.
+
+    Attributes:
+        gamma: covariances, shape (..., 2n, 2n).
+        d: centers d̂(α), shape (..., 2n).
+        alpha: coherent labels of the centers, shape (..., n).
+        r: reference overlaps, shape (...).
+
+    gram takes stacks with one branch axis; a single description is the
+    stack with no leading axis.
+    """
+
+    gamma: np.ndarray
+    d: np.ndarray
+    alpha: np.ndarray
+    r: np.ndarray
+
+    def take(self, index) -> "BranchStack":
+        """The stack indexed along its branch axis."""
+        return BranchStack(self.gamma[index], self.d[index], self.alpha[index],
+                           self.r[index])
+
+
+def stack_branches(descriptions: Sequence[GaussianDescription]) -> BranchStack:
+    """Stack descriptions on one mode count into a BranchStack."""
+    descriptions = tuple(descriptions)
+    if not descriptions:
+        raise ValidationError("need at least one description")
+    if len({delta.n for delta in descriptions}) != 1:
+        raise ValidationError("descriptions have different mode counts")
+    alpha = np.stack([delta.alpha for delta in descriptions])
+    return BranchStack(np.stack([delta.gamma for delta in descriptions]),
+                       hat_d(alpha), alpha,
+                       np.array([delta.r for delta in descriptions], dtype=complex))
+
+
+@lru_cache(maxsize=8)
+def _upper_triangle(chi: int) -> tuple:
+    """Read-only index arrays (k, j) of the pairs k < j among χ branches."""
+    k, j = np.triu_indices(chi, 1)
+    k.flags.writeable = False
+    j.flags.writeable = False
+    return k, j
+
+
+def _scalar_or_array(x):
+    """A Python complex for an unstacked result, the array otherwise."""
+    return complex(x) if np.ndim(x) == 0 else x
+
+
+def _mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked matrix-vector product m·v."""
+    return np.matmul(m, v[..., None])[..., 0]
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked bilinear (not sesquilinear) product uᵀv."""
+    return (u * v).sum(axis=-1)
 
 
 def coherent_overlap(a: np.ndarray, b: np.ndarray) -> complex:
@@ -48,6 +122,19 @@ def coherent_overlap(a: np.ndarray, b: np.ndarray) -> complex:
                           + np.conj(a) @ b))
 
 
+def _fidelity(gamma1: np.ndarray, d1: np.ndarray,
+              gamma2: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Stacked 2ⁿ · exp(-δᵀ(Γ₁+Γ₂)⁻¹δ) / √det(Γ₁+Γ₂) with δ = d₁ - d₂."""
+    n = np.shape(gamma1)[-1] // 2
+    total = gamma1 + gamma2
+    diff = d1 - d2
+    sign, logdet = np.linalg.slogdet(total)
+    if np.any(sign <= 0):
+        raise ValidationError("covariance sum is not positive definite")
+    expo = n * np.log(2.0) - _dot(diff, np.linalg.solve(total, diff[..., None])[..., 0])
+    return np.exp(expo - 0.5 * logdet)
+
+
 def pair_fidelity(delta1: GaussianDescription, delta2: GaussianDescription) -> float:
     """|⟨ψ₁, ψ₂⟩|² from covariances and centers only.
 
@@ -57,59 +144,38 @@ def pair_fidelity(delta1: GaussianDescription, delta2: GaussianDescription) -> f
     """
     if delta1.n != delta2.n:
         raise ValidationError("descriptions have different mode counts")
-    n = delta1.n
-    total = delta1.gamma + delta2.gamma
-    diff = delta1.d - delta2.d
-    sign, logdet = np.linalg.slogdet(total)
-    if sign <= 0:
-        raise ValidationError("covariance sum is not positive definite")
-    expo = n * np.log(2.0) - diff @ np.linalg.solve(total, diff) - 0.5 * logdet
-    return float(np.exp(expo))
+    return float(_fidelity(delta1.gamma, delta1.d, delta2.gamma, delta2.d))
 
 
-def branched_sqrt_det(m: np.ndarray) -> complex:
+def branched_sqrt_det(m: np.ndarray):
     """√det(M) on the branch reached continuously from the real part of M.
 
-    Deforms along M(t) = A + itB for t ∈ [0, 1], accumulating the principal
-    log-eigenvalues of each step's multiplier M(t)⁻¹M(t+h); a step is
-    accepted only when every eigenvalue phase stays strictly inside
-    (-π/2, π/2), so the accumulated log never jumps branches.  The start
-    value at t = 0 is the positive root of det(A).
+    For complex symmetric M = A + iB with A ≻ 0 every eigenvalue has a
+    positive real part along the whole path A + itB (see the module
+    docstring), so the root is exp(½·Σᵢ Log λᵢ); for real M it is the
+    positive root, read off the Cholesky factor of A.
 
     Args:
-        m: square matrix whose real part is positive definite.
+        m: complex symmetric matrix whose real part is positive definite,
+            or a stack of them along leading axes.
+
+    Returns:
+        A complex for one matrix, a complex array over the stack otherwise.
 
     Raises:
-        BranchPathError: real part not positive definite, the deformation
-            stalls, or the accumulated determinant drifts from det(M).
+        BranchPathError: the real part of some matrix is not positive
+            definite.
     """
-    m = np.asarray(m, dtype=complex)
-    a, b = m.real, m.imag
-    sign, logdet = np.linalg.slogdet(a)
-    if sign <= 0:
-        raise BranchPathError("real part of the matrix is not positive definite")
-    if np.abs(b).max() <= 1e-14 * max(1.0, np.abs(a).max()):
-        return complex(np.exp(0.5 * logdet))
-    total = complex(logdet)
-    t, step = 0.0, 0.5
-    while t < 1.0:
-        t2 = min(1.0, t + step)
-        ratio = np.linalg.solve(a + 1j * t * b, a + 1j * t2 * b)
-        mu = np.linalg.eigvals(ratio)
-        if np.abs(np.angle(mu)).max() > 0.4999 * np.pi:
-            step *= 0.5
-            if step < _MIN_BRANCH_STEP:
-                raise BranchPathError("determinant branch deformation stalled")
-            continue
-        total += np.log(mu).sum()
-        t, step = t2, min(0.5, 2.0 * step)
-    # guard against accumulation drift: the value (not the branch) must
-    # match a direct determinant; compare in log space to avoid overflow
-    dsign, dlogabs = np.linalg.slogdet(m)
-    if (abs(total.real - dlogabs) > 1e-7 * max(1.0, abs(dlogabs))
-            or abs(np.exp(1j * total.imag) - dsign) > 1e-7):
-        raise BranchPathError("branch deformation drifted from the determinant value")
-    return complex(np.exp(0.5 * total))
+    m = np.asarray(m)
+    try:
+        chol = np.linalg.cholesky(m.real)
+    except np.linalg.LinAlgError:
+        raise BranchPathError("real part of the matrix is not positive definite") from None
+    if np.iscomplexobj(m) and m.imag.any():
+        log_det = np.log(np.linalg.eigvals(m)).sum(axis=-1)
+    else:
+        log_det = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+    return _scalar_or_array(np.exp(0.5 * log_det.astype(complex)))
 
 
 def triple_overlap_product(
@@ -117,45 +183,44 @@ def triple_overlap_product(
     gamma2: np.ndarray, d2: np.ndarray,
     gamma3: np.ndarray, d3: np.ndarray,
     alpha: np.ndarray,
-) -> complex:
+):
     """⟨ψ₃, D(α)ψ₁⟩ · ⟨ψ₁, ψ₂⟩ · ⟨ψ₂, ψ₃⟩ for pure Gaussian ψ_i.
 
     Args:
         gamma1, d1: covariance and center of ψ₁ (likewise 2, 3).
         alpha: complex displacement label of length n.
 
-    The result is independent of the global phases of the ψ_i.
+    Every argument may carry leading stack axes; they broadcast against
+    each other, and the result is a complex array over the broadcast
+    stack, or a complex for unstacked arguments.  The result is
+    independent of the global phases of the ψ_i.
     """
-    n = gamma1.shape[0] // 2
+    n = np.shape(gamma1)[-1] // 2
     om = symplectic_form(n)
     iom = 1j * om
-    eye = np.eye(2 * n)
-    x = np.linalg.inv(gamma2 + gamma3)
-    g4 = gamma3 - (gamma3 + iom) @ x @ (gamma3 - iom)
-    w1 = np.linalg.inv(gamma1 + g4)
-    g5 = 0.25 * gamma1 - 0.25 * (gamma1 - iom) @ w1 @ (gamma1 + iom)
-    w2 = x + x @ (gamma3 - iom) @ w1 @ (gamma3 + iom) @ x
-    w3 = 2.0 * w1 @ (gamma3 + iom) @ x
-    w4 = eye - (gamma1 - iom) @ w1
-    w5 = (gamma1 - iom) @ w1 @ (gamma3 + iom) @ x
-    dp1 = d1 - d3
+    g3p = gamma3 + iom
+    s23 = gamma2 + gamma3
+    x = np.linalg.inv(s23)
+    s14 = gamma1 + gamma3 - g3p @ x @ (gamma3 - iom)
     dp2 = d2 - d3
-    oda = om @ hat_d(alpha)
-    expo = -(dp1 @ w1 @ dp1) - (dp2 @ w2 @ dp2) + (dp1 @ w3 @ dp2)
-    expo -= oda @ g5 @ oda
-    expo -= 1j * (oda @ (w4 @ dp1 + w5 @ dp2 + d3))
-    den = (branched_sqrt_det((gamma2 + gamma3) / 2)
-           * branched_sqrt_det((gamma1 + g4) / 2))
-    return complex(np.exp(expo) / den)
+    xdp2 = _mv(x, dp2)
+    oda = hat_d(alpha) @ om.T
+    # With w = (Γ₁ + Γ₄)⁻¹ = s14⁻¹ and x symmetric, the quadratic terms in
+    # (d₁ - d₃, d₂ - d₃, Ωd̂(α)) collapse into one form fᵀ w f.
+    f = d1 - d3 - _mv(g3p, xdp2) - 0.5j * _mv(gamma1 + iom, oda)
+    expo = (-_dot(dp2, xdp2) - _dot(oda, 0.25 * _mv(gamma1, oda) + 1j * d1)
+            - _dot(f, np.linalg.solve(s14, f[..., None])[..., 0]))
+    den = branched_sqrt_det(s23 / 2) * branched_sqrt_det(s14 / 2)
+    return _scalar_or_array(np.exp(expo) / den)
 
 
 def overlaptriple(
     gamma1: np.ndarray, d1: np.ndarray,
     gamma2: np.ndarray, d2: np.ndarray,
     gamma3: np.ndarray, d3: np.ndarray,
-    u: complex, v: complex,
+    u, v,
     lam: np.ndarray,
-) -> complex:
+):
     """Recover ⟨ψ₂, ψ₃⟩ from the triple product and two known anchors.
 
     Args:
@@ -164,31 +229,82 @@ def overlaptriple(
         v: the known overlap ⟨ψ₁, ψ₂⟩.
         lam: displacement label λ.
 
+    Stacked arguments broadcast as in triple_overlap_product.
+
     Raises:
         PhaseRecoveryError: an anchor overlap is too small to divide out.
     """
-    if abs(u) < ANCHOR_FLOOR or abs(v) < ANCHOR_FLOOR:
+    u_min, v_min = np.abs(u).min(), np.abs(v).min()
+    if u_min < ANCHOR_FLOOR or v_min < ANCHOR_FLOOR:
         raise PhaseRecoveryError(
-            f"anchor overlaps too small to recover a phase: |u|={abs(u):.3e}, "
-            f"|v|={abs(v):.3e}")
+            f"anchor overlaps too small to recover a phase: |u|={u_min:.3e}, "
+            f"|v|={v_min:.3e}")
     t = triple_overlap_product(gamma1, d1, gamma2, d2, gamma3, d3, lam)
-    return complex(t / (u * v))
+    return _scalar_or_array(t / np.multiply(u, v))
+
+
+def _pair_overlaps(a: BranchStack, b: BranchStack) -> np.ndarray:
+    """⟨ψ_a, ψ_b⟩ over two broadcast-compatible stacks.
+
+    Uses the triple (|α_a⟩, ψ_a, ψ_b) with displacement λ = α_a - α_b:
+    both anchor overlaps are then known from the reference overlaps r_a,
+    r_b and a Weyl phase, and the remaining factor is the wanted one.
+    """
+    u = np.exp(-1j * (a.alpha * b.alpha.conj()).imag.sum(axis=-1)) * np.conj(b.r)
+    return overlaptriple(np.eye(a.gamma.shape[-1]), a.d, a.gamma, a.d, b.gamma, b.d,
+                         u, a.r, a.alpha - b.alpha)
+
+
+def _blocked_pair_overlaps(a: BranchStack, k: np.ndarray,
+                           b: BranchStack, j: np.ndarray) -> np.ndarray:
+    """⟨ψ_a,k, ψ_b,j⟩ for index arrays k, j, GRAM_BLOCK pairs per kernel call."""
+    values = np.empty(k.size, dtype=complex)
+    for lo in range(0, k.size, GRAM_BLOCK):
+        block = slice(lo, lo + GRAM_BLOCK)
+        values[block] = _pair_overlaps(a.take(k[block]), b.take(j[block]))
+    return values
+
+
+def gram(psi_a: BranchStack, psi_b: Optional[BranchStack] = None) -> np.ndarray:
+    """Matrix of branch overlaps G_kj = ⟨ψ_a,k, ψ_b,j⟩, phases included.
+
+    The pairs are evaluated by the stacked triple product, GRAM_BLOCK
+    pairs per call.  Without psi_b this is the Gram matrix of psi_a: only
+    the upper triangle k < j is evaluated, the lower triangle is its
+    conjugate and the diagonal is 1, since every branch state is
+    normalized.
+
+    Raises:
+        ValidationError: the two stacks have different mode counts.
+        PhaseRecoveryError: a reference overlap is too small to divide out.
+    """
+    chi_a = psi_a.r.size
+    if psi_b is None:
+        k, j = _upper_triangle(chi_a)
+        g = np.eye(chi_a, dtype=complex)
+        g[k, j] = _blocked_pair_overlaps(psi_a, k, psi_a, j)
+        g[j, k] = np.conj(g[k, j])
+        return g
+    if psi_a.gamma.shape[-1] != psi_b.gamma.shape[-1]:
+        raise ValidationError("descriptions have different mode counts")
+    k, j = np.indices((chi_a, psi_b.r.size)).reshape(2, -1)
+    return _blocked_pair_overlaps(psi_a, k, psi_b, j).reshape(chi_a, psi_b.r.size)
+
+
+def gram_defect(psi: BranchStack, g: np.ndarray) -> float:
+    """Largest | |G_kj|² - pair_fidelity(ψ_k, ψ_j) | over the pairs k < j.
+
+    The fidelity needs no phase data, so this checks every overlap gram
+    computed for psi against an independent closed form.
+    """
+    k, j = _upper_triangle(psi.r.size)
+    f = _fidelity(psi.gamma[k], psi.d[k], psi.gamma[j], psi.d[j])
+    return float(np.max(np.abs(np.abs(g[k, j]) ** 2 - f), initial=0.0))
 
 
 def overlap(delta1: GaussianDescription, delta2: GaussianDescription) -> complex:
-    """⟨ψ(Δ₁), ψ(Δ₂)⟩, phase included.
-
-    Uses the triple (|α₁⟩, ψ(Δ₁), ψ(Δ₂)) with displacement λ = α₁ - α₂:
-    both anchor overlaps are then known from the reference overlaps r₁, r₂
-    and a Weyl phase, and the remaining factor is the wanted one.
-    """
+    """⟨ψ(Δ₁), ψ(Δ₂)⟩, phase included: the one-pair case of gram's kernel."""
     if delta1.n != delta2.n:
         raise ValidationError("descriptions have different mode counts")
-    n = delta1.n
-    a1, a2 = delta1.alpha, delta2.alpha
-    u = complex(np.exp(-1j * np.imag(a1 @ np.conj(a2)))) * np.conj(delta2.r)
-    return overlaptriple(
-        np.eye(2 * n), delta1.d,
-        delta1.gamma, delta1.d,
-        delta2.gamma, delta2.d,
-        u, delta1.r, a1 - a2)
+    return _pair_overlaps(BranchStack(delta1.gamma, delta1.d, delta1.alpha, delta1.r),
+                          BranchStack(delta2.gamma, delta2.d, delta2.alpha, delta2.r))

@@ -13,7 +13,8 @@ import numpy as np
 import pytest
 
 from gaussum.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
-from gaussum.circuit import parse_circuit
+from gaussum.circuit import evolve, parse_circuit
+from gaussum.overlaps import overlap
 
 VACUUM_MEASURED = """
 {
@@ -46,6 +47,16 @@ TWO_MODE = """
   "modes": 2,
   "state": {"type": "terms", "terms": [{"coeff": [1.0, 0.0]}]},
   "gates": []
+}
+"""
+
+ODD_CAT = """
+{
+  "modes": 1,
+  "state": {"type": "cat", "alpha": [0.7, 0.4], "parity": "odd"},
+  "gates": [{"op": "phaseshift", "mode": 1, "phi": 0.9},
+            {"op": "squeeze", "mode": 1, "z": -0.5},
+            {"op": "displacement", "alpha": [[0.3, -0.2]]}]
 }
 """
 
@@ -173,6 +184,21 @@ class TestOverlap:
         assert abs(payload["magnitude"] - np.exp(-0.5)) < 1e-12, (
             "|<0|D(1)0>| must be e^{-1/2}")
         assert abs(abs(complex(re, im)) - payload["magnitude"]) < 1e-12
+
+    def test_two_cats_match_branch_double_sum(self, tmp_path, capsys):
+        path_a = _write(tmp_path, "a.json", CAT_MEASURED)
+        path_b = _write(tmp_path, "b.json", ODD_CAT)
+        code, out, _ = _run(capsys, [
+            "overlap", "--circuit-a", path_a, "--circuit-b", path_b])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        ev_a, ev_b = (evolve(psi, spec.gates) for psi, spec in
+                      (parse_circuit(CAT_MEASURED), parse_circuit(ODD_CAT)))
+        expected = sum(np.conj(ca) * cb * overlap(da, db)
+                       for ca, da in ev_a.terms for cb, db in ev_b.terms)
+        assert abs(complex(*payload["overlap"]) - expected) < 1e-12, (
+            f"{payload['overlap']} vs double sum {expected}")
+        assert abs(payload["magnitude"] - abs(expected)) < 1e-12
 
     def test_mode_count_mismatch_is_validation_error(self, tmp_path, capsys):
         path_a = _write(tmp_path, "a.json", VACUUM_MEASURED)

@@ -1,14 +1,17 @@
-"""Unit tests for overlaps: closed forms, branch-tracked roots, phase recovery."""
+"""Unit tests for overlaps: closed forms, branch-tracked roots, phase
+recovery, and the stacked Gram kernel."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from conftest import complex_in_disc
+from conftest import complex_in_disc, random_superposition
 
 from gaussum.core import (
+    BranchPathError,
     PhaseRecoveryError,
+    ValidationError,
     coherent_description,
     hat_d,
     random_pure_description,
@@ -20,9 +23,12 @@ from gaussum.core import Displacement
 from gaussum.overlaps import (
     branched_sqrt_det,
     coherent_overlap,
+    gram,
+    gram_defect,
     overlap,
     overlaptriple,
     pair_fidelity,
+    stack_branches,
     triple_overlap_product,
 )
 
@@ -109,6 +115,36 @@ class TestBranchedSqrtDet:
             assert abs(current - previous) < 1.5 * abs(previous), (
                 f"jump at t={t}: {previous} -> {current}")
             previous = current
+
+    def test_dense_path_tracks_branch_past_principal_root(self):
+        # With B ≻ 0 and ‖B‖ ≫ ‖A‖ the phase of det(A + itB) grows past π;
+        # the tracked root must stay continuous where the principal root of
+        # det flips sign.
+        rng = np.random.default_rng(41)
+        x = rng.standard_normal((4, 4))
+        a = x @ x.T / 4.0 + np.eye(4)
+        y = rng.standard_normal((4, 4))
+        b = 20.0 * (y @ y.T / 4.0 + np.eye(4))
+        ts = np.linspace(0.0, 1.0, 4001)
+        stack = a + 1j * ts[:, None, None] * b
+        roots = branched_sqrt_det(stack)
+        dets = np.linalg.det(stack)
+        assert np.allclose(roots ** 2, dets, rtol=1e-10, atol=0.0), "root² ≠ det"
+        steps = np.abs(np.diff(roots)) / np.abs(roots[:-1])
+        assert steps.max() < 0.05, f"root jumps by {steps.max():.3f} of its size"
+        flipped = np.abs(np.sqrt(dets) + roots) < 1e-8 * np.abs(roots)
+        assert flipped.any(), "principal √det never left the tracked branch"
+        for i in (0, 1234, 4000):
+            single = branched_sqrt_det(stack[i])
+            assert abs(single - roots[i]) < 1e-13 * abs(single), f"stacked ≠ single at t={ts[i]}"
+
+    def test_real_part_not_positive_definite_raises(self):
+        good = np.eye(2) + 0.5j * np.eye(2)
+        bad = np.diag([1.0, -1.0]) + 0.5j * np.eye(2)
+        with pytest.raises(BranchPathError):
+            branched_sqrt_det(bad)
+        with pytest.raises(BranchPathError):
+            branched_sqrt_det(np.stack([good, bad, good]))
 
 
 class TestTripleOverlapProduct:
@@ -223,3 +259,43 @@ class TestOverlap:
                                     fock_from_description(d2))
             assert abs(value - expected) < 1e-7, (
                 f"case {case} (n={n}): {value} vs oracle {expected}")
+
+
+class TestGram:
+    """The stacked pair-overlap kernel behind Gram and cross-circuit matrices."""
+
+    def test_matches_pairwise_overlap_and_oracle(self):
+        for case in range(6):
+            n = 1 + case % 2
+            psi = random_superposition(700 + case, n=n, chi=3 + case, z_max=0.6,
+                                       alpha_max=0.8)
+            g = gram(psi.branches)
+            ds = psi.descriptions
+            pairwise = np.array([[overlap(dk, dj) for dj in ds] for dk in ds])
+            assert np.abs(g - pairwise).max() < 1e-12, f"case {case}: gram ≠ overlap"
+            assert np.array_equal(g, g.conj().T), f"case {case}: not Hermitian"
+            low = np.linalg.eigvalsh(g).min()
+            assert low >= -1e-12, f"case {case}: min Gram eigenvalue {low}"
+            focks = [fock_from_description(d) for d in ds]
+            oracle = np.array([[fock_overlap(fk, fj) for fj in focks] for fk in focks])
+            assert np.abs(g - oracle).max() < 1e-8, f"case {case}: gram ≠ oracle"
+            assert gram_defect(psi.branches, g) < 1e-10
+
+    def test_cross_form_matches_pairwise_overlap(self):
+        for case in range(4):
+            n = 1 + case % 2
+            a = random_superposition(800 + case, n=n, chi=2 + case)
+            b = random_superposition(900 + case, n=n, chi=5 - case)
+            g = gram(a.branches, b.branches)
+            pairwise = np.array([[overlap(da, db) for db in b.descriptions]
+                                 for da in a.descriptions])
+            assert g.shape == (a.chi, b.chi)
+            assert np.abs(g - pairwise).max() < 1e-12, f"case {case}"
+
+    def test_mode_count_mismatch(self):
+        one = stack_branches([vacuum_description(1)])
+        two = stack_branches([vacuum_description(2)])
+        with pytest.raises(ValidationError):
+            gram(one, two)
+        with pytest.raises(ValidationError):
+            stack_branches([vacuum_description(1), vacuum_description(2)])

@@ -11,6 +11,8 @@ from conftest import random_superposition
 from gaussum.core import (
     DensityFloorError,
     Displacement,
+    GaussianDescription,
+    NumericError,
     PhaseShift,
     Squeeze,
     ValidationError,
@@ -21,7 +23,7 @@ from gaussum.core import (
     vacuum_description,
 )
 from gaussum.fock import fock_from_superposition, fock_heterodyne_density, fock_norm
-from gaussum.overlaps import overlap
+from gaussum.overlaps import gram
 from gaussum.states import cat_state
 from gaussum.superposition import (
     GaussianSuperposition,
@@ -91,10 +93,18 @@ class TestExactNorm:
         for case in range(10):
             psi = random_superposition(300 + case, n=1 + case % 2, chi=4,
                                        z_max=0.9, alpha_max=0.9)
-            gram = np.array([[overlap(dk, dj) for dj in psi.descriptions]
-                             for dk in psi.descriptions])
-            low = np.linalg.eigvalsh(gram).min()
+            low = np.linalg.eigvalsh(gram(psi.branches)).min()
             assert low >= -1e-8, f"case {case}: min Gram eigenvalue {low}"
+
+    def test_wrong_reference_magnitude_raises(self):
+        # |r| is fixed by Γ; scaling one branch's r by 1.1 breaks
+        # |G_kj|² = pair_fidelity for every pair that branch is in.
+        psi = random_superposition(310, n=1, chi=3, z_max=0.6, alpha_max=0.6)
+        ds = list(psi.descriptions)
+        bad = ds[1]
+        ds[1] = GaussianDescription(bad.gamma, bad.alpha, 1.1 * bad.r)
+        with pytest.raises(NumericError):
+            exact_norm(GaussianSuperposition(psi.coeffs, tuple(ds)))
 
 
 class TestFastNormParameters:
