@@ -39,9 +39,9 @@ from .superposition import (
     GaussianSuperposition,
     circuit_energy_bound,
     exact_norm,
+    fast_norm,
     fast_norm_parameters,
-    measureprob_approx,
-    measureprob_exact,
+    post_measurement_superposition,
     superposition_energy_exact,
     typical_parameters,
 )
@@ -77,7 +77,12 @@ class CircuitSpec:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Outcome density plus the parameters that produced it."""
+    """Outcome density plus the parameters that produced it.
+
+    dropped_weight is Σ|c_j|² of the branches the measurement discarded
+    because their outcome density underflowed (see
+    post_measurement_superposition); p covers only the branches kept.
+    """
 
     p: float
     method: str
@@ -87,8 +92,10 @@ class SimulationResult:
     radius: Optional[float] = None
     samples: Optional[int] = None
     seed: Optional[int] = None
+    dropped_weight: float = 0.0
 
     def as_dict(self) -> dict:
+        """JSON fields; dropped_weight appears only when some weight was dropped."""
         out = {"p": self.p, "method": self.method}
         for key, name in [("epsilon", "epsilon"), ("p_fail", "p_fail"),
                           ("energy_bound", "energy_bound"), ("radius", "R"),
@@ -96,6 +103,8 @@ class SimulationResult:
             value = getattr(self, key)
             if value is not None:
                 out[name] = value
+        if self.dropped_weight > 0:
+            out["dropped_weight"] = self.dropped_weight
         return out
 
     def to_json(self) -> str:
@@ -391,9 +400,9 @@ def simulate_exact(psi0: GaussianSuperposition, circuit: CircuitSpec) -> Simulat
     if abs(norm - 1.0) > 1e-6:
         raise ValidationError(
             f"initial state must be normalized, got ‖Ψ₀‖ = {norm:.9g}")
-    evolved = evolve(psi0, circuit.gates)
-    p = measureprob_exact(evolved, measure.beta)
-    return SimulationResult(p=p, method="exact")
+    post = post_measurement_superposition(evolve(psi0, circuit.gates), measure.beta)
+    p = float(exact_norm(post) ** 2 / np.pi ** measure.k)
+    return SimulationResult(p=p, method="exact", dropped_weight=post.dropped_weight)
 
 
 def simulate_approx(
@@ -401,27 +410,25 @@ def simulate_approx(
     circuit: CircuitSpec,
     epsilon: float,
     p_fail: float,
-    mean_photons: Optional[float] = None,
     seed: Optional[int] = None,
     workers: int = 1,
     energy_override: Optional[float] = None,
 ) -> SimulationResult:
     """Evolve and estimate the outcome density with the O(χ) estimator.
 
-    The probe parameters need an energy bound for the normalized
-    post-measurement state.  It is assembled by bounding the input mean
-    photon number (computed exactly if not given), propagating it through
-    the gate list, and converting to a typical-outcome bound at failure
-    budget δ = p_fail — the estimator's failure probability then covers
-    both the atypical-outcome event and the sampling deviation.
+    The probe parameters need a bound on ⟨H⟩ = Σ_j⟨Q_j² + P_j² + 1⟩ of the
+    normalized post-measurement state.  It is derived in ⟨H⟩ throughout:
+    the exact input energy (superposition_energy_exact), propagated through
+    the gate list (circuit_energy_bound), then converted to a typical-outcome
+    bound at failure budget δ = p_fail (typical_parameters) — the
+    estimator's failure probability then covers both the atypical-outcome
+    event and the sampling deviation.
 
     Args:
         psi0: initial superposition.
         circuit: gate list plus measurement.
         epsilon: relative accuracy of the density estimate.
         p_fail: failure budget (also used as the typicality budget δ).
-        mean_photons: optional mean photon bound of the normalized input;
-            derived from the state itself when omitted.
         seed: estimator seed; a fresh one is drawn (and reported) if None.
         workers: worker threads for the sampling loop.
         energy_override: use this post-measurement energy bound directly
@@ -431,19 +438,15 @@ def simulate_approx(
     measure = _require_measure(circuit)
     if seed is None:
         seed = int(np.random.SeedSequence().entropy)
-    evolved = evolve(psi0, circuit.gates)
     if energy_override is not None:
         e_tilde = float(energy_override)
     else:
-        if mean_photons is None:
-            energy_in = superposition_energy_exact(psi0)
-            mean_photons = max(0.0, (energy_in - 2.0 * psi0.n) / 2.0)
-        photon_bound = circuit_energy_bound(mean_photons, circuit.gates)
-        energy_bound = 2.0 * photon_bound + 2.0 * psi0.n
-        e_tilde, _ = typical_parameters(energy_bound, p_fail)
+        energy_bound = circuit_energy_bound(superposition_energy_exact(psi0), circuit.gates)
+        e_tilde = typical_parameters(energy_bound, p_fail).e_tilde
     radius, samples = fast_norm_parameters(e_tilde, epsilon, p_fail)
-    p = measureprob_approx(evolved, measure.beta, epsilon, p_fail, e_tilde,
-                           seed, workers=workers)
-    return SimulationResult(p=p, method="approx", epsilon=epsilon, p_fail=p_fail,
-                            energy_bound=e_tilde, radius=radius, samples=samples,
-                            seed=seed)
+    post = post_measurement_superposition(evolve(psi0, circuit.gates), measure.beta)
+    value = fast_norm(post, epsilon, p_fail, e_tilde, seed, workers=workers)
+    return SimulationResult(p=float(value / np.pi ** measure.k), method="approx",
+                            epsilon=epsilon, p_fail=p_fail, energy_bound=e_tilde,
+                            radius=radius, samples=samples, seed=seed,
+                            dropped_weight=post.dropped_weight)

@@ -329,16 +329,18 @@ def vacuum_description(n: int) -> GaussianDescription:
     return coherent_description(np.zeros(n, dtype=complex))
 
 
-def energy_of_gaussian(gamma: np.ndarray, d: np.ndarray) -> float:
+def energy_of_gaussian(gamma: np.ndarray, d: np.ndarray):
     """Energy ⟨H⟩ = ½·tr(Γ) + dᵀd + n of a Gaussian state.
 
     H = Σ_j (Q_j² + P_j² + 1); the value is twice the mean photon number
-    plus 2n.
+    plus 2n.  Stacks of covariances (..., 2n, 2n) and centers (..., 2n)
+    give an array of energies; one state gives a float.
     """
     gamma = np.asarray(gamma, dtype=float)
-    d = np.asarray(d, dtype=float).reshape(-1)
-    n = gamma.shape[0] // 2
-    return 0.5 * float(np.trace(gamma)) + float(d @ d) + n
+    d = np.asarray(d, dtype=float)
+    n = gamma.shape[-1] // 2
+    energy = 0.5 * np.trace(gamma, axis1=-2, axis2=-1) + (d * d).sum(axis=-1) + n
+    return float(energy) if np.ndim(energy) == 0 else energy
 
 
 def random_symplectic_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray:

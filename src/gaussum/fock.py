@@ -4,9 +4,9 @@ This is the differential-testing oracle: states are explicit amplitude
 arrays over photon occupations, gates are matrix exponentials of truncated
 quadrature generators, and every quantity (overlap, density, moments,
 energy) is evaluated by direct linear algebra.  Tests certify the
-covariance-based engine against this backend; production code never calls
-it except for the exact small-system energy helper, which wraps it behind
-a lazy import.
+covariance-based engine against this backend.  Within the package only the
+`oracle-check` subcommand loads it, by a lazy import; every other path,
+the closed-form superposition energy included, runs without it or scipy.
 
 States are built from a description without any gate compilation: a pure
 Gaussian state is the unique (up to phase) solution of n linear

@@ -39,6 +39,7 @@ from .core import (
     GaussianDescription,
     PhaseRecoveryError,
     ValidationError,
+    energy_of_gaussian,
     hat_d,
     symplectic_form,
 )
@@ -195,23 +196,42 @@ def triple_overlap_product(
     stack, or a complex for unstacked arguments.  The result is
     independent of the global phases of the ψ_i.
     """
+    c, f0, g1p, s23, s14 = _triple_exponent(gamma1, d1, gamma2, d2, gamma3, d3)
+    xi = hat_d(alpha) @ symplectic_form(np.shape(gamma1)[-1] // 2).T
+    f = f0 - 0.5j * _mv(g1p, xi)
+    expo = (c - _dot(xi, 0.25 * _mv(gamma1, xi) + 1j * d1)
+            - _dot(f, np.linalg.solve(s14, f[..., None])[..., 0]))
+    den = branched_sqrt_det(s23 / 2) * branched_sqrt_det(s14 / 2)
+    return _scalar_or_array(np.exp(expo) / den)
+
+
+def _triple_exponent(
+    gamma1: np.ndarray, d1: np.ndarray,
+    gamma2: np.ndarray, d2: np.ndarray,
+    gamma3: np.ndarray, d3: np.ndarray,
+) -> tuple:
+    """Coefficients of the triple product as a function of ξ = Ωd̂(α).
+
+    Returns (c, f0, g1p, s23, s14) such that
+
+        T(ξ) = exp(c − ξᵀ(¼Γ₁ξ + i·d₁) − fᵀ s14⁻¹ f) / (√det(s23/2)·√det(s14/2))
+        with f = f0 − ½i·g1p·ξ and g1p = Γ₁ + iΩ:
+
+    a linear-plus-quadratic exponent in ξ over a denominator that does not
+    depend on α.  s14 is complex symmetric.  Stacked arguments broadcast.
+    """
     n = np.shape(gamma1)[-1] // 2
-    om = symplectic_form(n)
-    iom = 1j * om
+    iom = 1j * symplectic_form(n)
     g3p = gamma3 + iom
     s23 = gamma2 + gamma3
     x = np.linalg.inv(s23)
     s14 = gamma1 + gamma3 - g3p @ x @ (gamma3 - iom)
     dp2 = d2 - d3
     xdp2 = _mv(x, dp2)
-    oda = hat_d(alpha) @ om.T
     # With w = (Γ₁ + Γ₄)⁻¹ = s14⁻¹ and x symmetric, the quadratic terms in
-    # (d₁ - d₃, d₂ - d₃, Ωd̂(α)) collapse into one form fᵀ w f.
-    f = d1 - d3 - _mv(g3p, xdp2) - 0.5j * _mv(gamma1 + iom, oda)
-    expo = (-_dot(dp2, xdp2) - _dot(oda, 0.25 * _mv(gamma1, oda) + 1j * d1)
-            - _dot(f, np.linalg.solve(s14, f[..., None])[..., 0]))
-    den = branched_sqrt_det(s23 / 2) * branched_sqrt_det(s14 / 2)
-    return _scalar_or_array(np.exp(expo) / den)
+    # (d₁ - d₃, d₂ - d₃, ξ) collapse into one form fᵀ w f.
+    f0 = d1 - d3 - _mv(g3p, xdp2)
+    return -_dot(dp2, xdp2), f0, gamma1 + iom, s23, s14
 
 
 def overlaptriple(
@@ -255,13 +275,33 @@ def _pair_overlaps(a: BranchStack, b: BranchStack) -> np.ndarray:
                          u, a.r, a.alpha - b.alpha)
 
 
-def _blocked_pair_overlaps(a: BranchStack, k: np.ndarray,
-                           b: BranchStack, j: np.ndarray) -> np.ndarray:
-    """⟨ψ_a,k, ψ_b,j⟩ for index arrays k, j, GRAM_BLOCK pairs per kernel call."""
+def _pair_energy_factors(a: BranchStack, b: BranchStack) -> np.ndarray:
+    """⟨ψ_a|H|ψ_b⟩ / ⟨ψ_a, ψ_b⟩ over two broadcast-compatible stacks.
+
+    H = Σ_m (Q_m² + P_m² + 1).  With ξ = Ωd̂(λ), D(λ) = exp(iξᵀR), so
+    F(ξ) = ⟨ψ_a, D(λ)ψ_b⟩ has ⟨ψ_a|Σ_m R_m²|ψ_b⟩ = −tr ∇²F(0).  F is the
+    triple product of (ψ_b, ψ_b, ψ_a) divided by ⟨ψ_b, ψ_a⟩, a constant, so
+    F = G·e^φ with G = ⟨ψ_a, ψ_b⟩ and φ(ξ) the triple exponent minus its
+    value at 0.  The factor n − tr ∇²φ − ∇φᵀ∇φ at ξ = 0 then reads off the
+    exponent's coefficients (see _triple_exponent) as
+
+        n + ½·tr Γ_b − ½·tr(g1pᵀ s14⁻¹ g1p) + eᵀe,  e = d_b − g1pᵀ s14⁻¹ f0.
+    """
+    n = a.gamma.shape[-1] // 2
+    _, f0, g1p, _, s14 = _triple_exponent(b.gamma, b.d, b.gamma, b.d, a.gamma, a.d)
+    w = np.linalg.solve(s14, np.concatenate([g1p, f0[..., None]], axis=-1))
+    e = b.d - _mv(np.swapaxes(g1p, -1, -2), w[..., -1])
+    return (n + 0.5 * np.trace(b.gamma, axis1=-2, axis2=-1)
+            - 0.5 * (g1p * w[..., :-1]).sum(axis=(-2, -1)) + _dot(e, e))
+
+
+def _blocked(kernel, a: BranchStack, k: np.ndarray,
+             b: BranchStack, j: np.ndarray) -> np.ndarray:
+    """kernel(ψ_a,k, ψ_b,j) for index arrays k, j, GRAM_BLOCK pairs per call."""
     values = np.empty(k.size, dtype=complex)
     for lo in range(0, k.size, GRAM_BLOCK):
         block = slice(lo, lo + GRAM_BLOCK)
-        values[block] = _pair_overlaps(a.take(k[block]), b.take(j[block]))
+        values[block] = kernel(a.take(k[block]), b.take(j[block]))
     return values
 
 
@@ -282,13 +322,28 @@ def gram(psi_a: BranchStack, psi_b: Optional[BranchStack] = None) -> np.ndarray:
     if psi_b is None:
         k, j = _upper_triangle(chi_a)
         g = np.eye(chi_a, dtype=complex)
-        g[k, j] = _blocked_pair_overlaps(psi_a, k, psi_a, j)
+        g[k, j] = _blocked(_pair_overlaps, psi_a, k, psi_a, j)
         g[j, k] = np.conj(g[k, j])
         return g
     if psi_a.gamma.shape[-1] != psi_b.gamma.shape[-1]:
         raise ValidationError("descriptions have different mode counts")
     k, j = np.indices((chi_a, psi_b.r.size)).reshape(2, -1)
-    return _blocked_pair_overlaps(psi_a, k, psi_b, j).reshape(chi_a, psi_b.r.size)
+    return _blocked(_pair_overlaps, psi_a, k, psi_b, j).reshape(chi_a, psi_b.r.size)
+
+
+def energy_gram(psi: BranchStack, g: np.ndarray) -> np.ndarray:
+    """Matrix H_kj = ⟨ψ_k|H|ψ_j⟩ of H = Σ_m(Q_m² + P_m² + 1) over psi's branches.
+
+    g is gram(psi).  The pairs k < j are g_kj times a closed-form factor
+    read off the triple product's exponent (see _pair_energy_factors),
+    GRAM_BLOCK pairs per call; the lower triangle is their conjugate and
+    the diagonal holds the branch energies ½·tr Γ + dᵀd + n.
+    """
+    k, j = _upper_triangle(psi.r.size)
+    h = np.diag(energy_of_gaussian(psi.gamma, psi.d)).astype(complex)
+    h[k, j] = g[k, j] * _blocked(_pair_energy_factors, psi, k, psi, j)
+    h[j, k] = np.conj(h[k, j])
+    return h
 
 
 def gram_defect(psi: BranchStack, g: np.ndarray) -> float:

@@ -35,11 +35,10 @@ from .core import (
     Squeeze,
     ValidationError,
     coherent_description,
-    energy_of_gaussian,
     hat_d,
 )
 from .measurement import postmeasure
-from .overlaps import BranchStack, gram, gram_defect, overlap, stack_branches
+from .overlaps import BranchStack, energy_gram, gram, gram_defect, overlap, stack_branches
 
 #: Largest tolerated | |G_kj|² - pair_fidelity(ψ_k, ψ_j) | in a Gram matrix.
 GRAM_FIDELITY_TOL = 1e-8
@@ -98,6 +97,24 @@ class GaussianSuperposition:
         return stack_branches(self.descriptions)
 
 
+def _checked_gram(psi: GaussianSuperposition) -> np.ndarray:
+    """gram(psi.branches), each computed entry checked as exact_norm says."""
+    g = gram(psi.branches)
+    defect = gram_defect(psi.branches, g)
+    if defect > GRAM_FIDELITY_TOL:
+        raise NumericError(
+            f"Gram entry misses its pair fidelity by {defect:.3e} "
+            f"(tolerance {GRAM_FIDELITY_TOL:.0e})")
+    return g
+
+
+def _quadratic_form(c: np.ndarray, m: np.ndarray) -> float:
+    """Re Σ_kj c̄_k m_kj c_j for a Hermitian m."""
+    # einsum rather than a threaded BLAS product: at large χ its worker
+    # threads keep spinning and slow the small kernel calls that follow
+    return float(np.einsum("k,kj,j->", np.conj(c), m, c).real)
+
+
 def exact_norm(psi: GaussianSuperposition) -> float:
     """‖Ψ‖ from the full Gram matrix of branch overlaps.
 
@@ -111,17 +128,7 @@ def exact_norm(psi: GaussianSuperposition) -> float:
             GRAM_FIDELITY_TOL, which signals an inconsistent branch (for
             instance a reference overlap of the wrong magnitude).
     """
-    c = psi.coeffs
-    g = gram(psi.branches)
-    defect = gram_defect(psi.branches, g)
-    if defect > GRAM_FIDELITY_TOL:
-        raise NumericError(
-            f"Gram entry misses its pair fidelity by {defect:.3e} "
-            f"(tolerance {GRAM_FIDELITY_TOL:.0e})")
-    # einsum rather than a threaded BLAS product: at large χ its worker
-    # threads keep spinning and slow the small kernel calls that follow
-    total = np.einsum("k,kj,j->", np.conj(c), g, c)
-    return float(np.sqrt(max(total.real, 0.0)))
+    return float(np.sqrt(max(_quadratic_form(psi.coeffs, _checked_gram(psi)), 0.0)))
 
 
 class FastNormParameters(NamedTuple):
@@ -278,51 +285,45 @@ def typical_parameters(energy_bound: float, delta: float) -> TypicalParameters:
                              float(np.sqrt(energy_bound / delta)))
 
 
-def circuit_energy_bound(mean_photons: float, gates: Sequence[Gate],
-                         tight: bool = False, heterodyne_steps: int = 0) -> float:
-    """Upper bound on the mean photon number after a gate sequence.
+def circuit_energy_bound(energy: float, gates: Sequence[Gate]) -> float:
+    """Upper bound on ⟨H⟩ after a gate sequence, H = Σ_j(Q_j² + P_j² + 1).
 
-    Every gate scales the bound by e² except squeezing, which scales it by
-    e^{2|z|}; a displacement additionally folds its amplitude into the
-    bound via N → (√N + ‖d̂(α)‖)².  With tight=True the blanket e² factors
-    are dropped (valid for passive gates, which preserve photon number,
-    and for displacements, whose growth the fold already covers).  Each
-    heterodyne step adds 2 at the end.
+    Each gate bounds the energy of its output by that of its input:
+
+    * a squeeze S(z) maps H to at most e^{2|z|}·H (the squeezed mode's
+      e^{2z}Q² + e^{-2z}P² + 1 ≤ e^{2|z|}(Q² + P² + 1)), so the bound is
+      multiplied by e^{2|z|};
+    * phase shifts and beamsplitters commute with H and leave it unchanged;
+    * a displacement by d = d̂(α) gives ⟨H⟩ + 2dᵀ⟨R⟩ + ‖d‖² ≤ (√E + ‖d‖)²,
+      since Σ_m⟨R_m⟩² ≤ E.
 
     Args:
-        mean_photons: mean photon number N of the input state.
+        energy: ⟨H⟩ of the normalized input state, or a bound on it.
         gates: the gate sequence, in order.
-        tight: drop the per-gate e² factors.
-        heterodyne_steps: number of heterodyne measurements to budget for.
     """
-    if mean_photons < 0:
-        raise ValidationError("mean photon number must be nonnegative")
-    n_bound = float(mean_photons)
+    if energy < 0:
+        raise ValidationError("energy must be nonnegative")
+    bound = float(energy)
     for g in gates:
         if isinstance(g, Squeeze):
-            n_bound *= float(np.exp(2.0 * abs(g.z)))
-            continue
-        if not tight:
-            n_bound *= float(np.e ** 2)
-        if isinstance(g, Displacement):
-            n_bound = (np.sqrt(n_bound) + float(np.linalg.norm(hat_d(g.alpha)))) ** 2
-    return n_bound + 2.0 * int(heterodyne_steps)
+            bound *= float(np.exp(2.0 * abs(g.z)))
+        elif isinstance(g, Displacement):
+            bound = (np.sqrt(bound) + float(np.linalg.norm(hat_d(g.alpha)))) ** 2
+    return float(bound)
 
 
 def superposition_energy_exact(psi: GaussianSuperposition) -> float:
     """⟨H⟩ of the normalized superposition, H = Σ_j(Q_j² + P_j² + 1).
 
-    For n ≤ 2 this is evaluated exactly in a truncated number basis.  For
-    larger systems the cross terms are not available from descriptions
-    alone, and the certified bound (Σ_j |c_j| √E_j)² / ‖Ψ‖² is returned
-    instead, with E_j the branch energies.
-    """
-    if psi.n <= 2:
-        from . import fock  # oracle backend, deliberately not a module-level import
+    Exact for every mode count, in closed form: ⟨Ψ|H|Ψ⟩ = Σ_kj c̄_k c_j H_kj
+    over the branch energy matrix (see overlaps.energy_gram), divided by
+    ‖Ψ‖² = Σ_kj c̄_k c_j G_kj.  Each off-diagonal H_kj comes from the same
+    stacked triple-product exponent as the Gram entry G_kj; the diagonal
+    holds the branch energies ½·tr Γ + dᵀd + n.
 
-        state = fock.fock_from_superposition(psi.terms)
-        return float(fock.fock_energy(state))
-    amplitude = 0.0
-    for c, d in zip(psi.coeffs, psi.descriptions):
-        amplitude += abs(c) * np.sqrt(energy_of_gaussian(d.gamma, d.d))
-    return float(amplitude ** 2 / exact_norm(psi) ** 2)
+    Raises:
+        NumericError: a Gram entry misses its pair fidelity (see exact_norm).
+    """
+    g = _checked_gram(psi)
+    return _quadratic_form(psi.coeffs, energy_gram(psi.branches, g)) / _quadratic_form(
+        psi.coeffs, g)

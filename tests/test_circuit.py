@@ -26,7 +26,8 @@ from gaussum.core import (
     ValidationError,
 )
 from gaussum.fock import fock_apply_gate, fock_from_superposition, fock_overlap, fock_project
-from gaussum.superposition import GaussianSuperposition, exact_norm
+from gaussum.states import appendix_d_state
+from gaussum.superposition import GaussianSuperposition, exact_norm, typical_parameters
 
 VACUUM_DOC = """
 {
@@ -289,3 +290,36 @@ class TestSimulateApprox:
                                     seed=seed, energy_override=2.0).p
             hits += abs(value - exact) <= 0.3 * exact
         assert hits >= 45, f"approx within ±30% of exact only {hits}/60 times"
+
+    def test_derived_bound_covers_squeezed_vacuum(self):
+        # Vacuum (⟨H⟩ = 2) squeezed by z = 0.8 has ⟨H⟩ = cosh(1.6) + 1 ≈ 3.58;
+        # the derived bound must start from ⟨H⟩ ≥ that, i.e. 2·e^{1.6}.
+        psi, _ = parse_circuit(VACUUM_DOC)
+        spec = CircuitSpec(1, (Squeeze(0.8, 1),), MeasureSpec(1, np.array([0.2j])))
+        result = simulate_approx(psi, spec, epsilon=0.5, p_fail=0.25, seed=1)
+        expected = typical_parameters(2.0 * np.exp(1.6), 0.25).e_tilde
+        assert result.energy_bound == pytest.approx(expected, rel=1e-12)
+
+
+class TestDroppedWeight:
+    """Weight discarded by the measurement is reported, not silently lost."""
+
+    SPEC = CircuitSpec(2, (), MeasureSpec(1, np.array([26.0 + 0j])))
+
+    def test_exact_reports_dropped_vacuum_branch(self):
+        # Measured at β = 26 the vacuum branch's density underflows, so half
+        # the weight of appendixD(0.5, 26, 0.3) is dropped.
+        result = simulate_exact(appendix_d_state(0.5, 26.0, 0.3), self.SPEC)
+        assert result.dropped_weight == pytest.approx(0.5, rel=1e-12)
+        assert result.as_dict()["dropped_weight"] == result.dropped_weight
+
+    def test_approx_reports_dropped_vacuum_branch(self):
+        result = simulate_approx(appendix_d_state(0.5, 26.0, 0.3), self.SPEC,
+                                 epsilon=0.5, p_fail=0.25, seed=2, energy_override=2.0)
+        assert result.dropped_weight == pytest.approx(0.5, rel=1e-12)
+
+    def test_no_key_when_nothing_dropped(self):
+        psi, spec = parse_circuit(VACUUM_DOC)
+        result = simulate_exact(psi, spec)
+        assert result.dropped_weight == 0.0
+        assert set(result.as_dict()) == {"p", "method"}

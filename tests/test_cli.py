@@ -1,13 +1,19 @@
 """Tests for the command-line interface.
 
-All tests drive ``gaussum.cli.main`` in-process with an explicit argv and
+The tests drive ``gaussum.cli.main`` in-process with an explicit argv and
 capture stdout/stderr, checking the documented exit codes and the JSON
-payloads printed on each stream.
+payloads printed on each stream.  The import guard runs in a fresh
+interpreter, since this process has long since imported the oracle.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +21,8 @@ import pytest
 from gaussum.cli import EXIT_IO, EXIT_NUMERIC, EXIT_OK, EXIT_VALIDATION, main
 from gaussum.circuit import evolve, parse_circuit
 from gaussum.overlaps import overlap
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 VACUUM_MEASURED = """
 {
@@ -47,6 +55,15 @@ TWO_MODE = """
   "modes": 2,
   "state": {"type": "terms", "terms": [{"coeff": [1.0, 0.0]}]},
   "gates": []
+}
+"""
+
+BRIGHT_POINTER = """
+{
+  "modes": 2,
+  "state": {"type": "appendixD", "p": 0.5, "r": 26.0, "z": 0.3},
+  "gates": [],
+  "measure": {"k": 1, "beta": [[26.0, 0.0]]}
 }
 """
 
@@ -126,6 +143,16 @@ class TestSimulate:
         assert payload["energy_bound"] == 2.0
         assert payload["R"] == 2.0
         assert payload["L"] == 6
+
+    def test_dropped_weight_reported(self, tmp_path, capsys):
+        # At β = 26 the vacuum branch underflows: half the state is dropped,
+        # and the output says so next to p.
+        path = _write(tmp_path, "bright.json", BRIGHT_POINTER)
+        code, out, _ = _run(capsys, ["simulate", "--circuit", path])
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["dropped_weight"] == pytest.approx(0.5, rel=1e-12)
+        assert payload["p"] == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-9)
 
     def test_fresh_seed_is_reported_and_reusable(self, tmp_path, capsys):
         path = _write(tmp_path, "vac.json", VACUUM_MEASURED)
@@ -297,3 +324,29 @@ class TestErrorReporting:
         code = main(["simulate"])  # missing required --circuit
         capsys.readouterr()
         assert code != EXIT_OK
+
+
+class TestImportGuard:
+    """Approximate runs with derived energy bounds need neither the
+    number-basis oracle nor scipy."""
+
+    def test_approx_paths_import_neither_oracle_nor_scipy(self, tmp_path):
+        path = _write(tmp_path, "cat.json", CAT_MEASURED)
+        script = textwrap.dedent(f"""
+            import contextlib, io, sys
+            from gaussum.circuit import parse_circuit, simulate_approx
+            from gaussum.cli import main
+            with open({path!r}, encoding="utf-8") as handle:
+                psi, spec = parse_circuit(handle.read())
+            simulate_approx(psi, spec, epsilon=0.5, p_fail=0.25, seed=1)
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["norm", "--circuit", {path!r}, "--method", "approx",
+                             "--epsilon", "0.5", "--p-fail", "0.25", "--seed", "1"])
+            loaded = sorted(m for m in sys.modules
+                            if m == "gaussum.fock" or m.split(".")[0] == "scipy")
+            print(code, loaded)
+        """)
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(SRC)})
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == f"{EXIT_OK} []", proc.stdout

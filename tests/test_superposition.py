@@ -5,10 +5,13 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from conftest import random_superposition
 
+from gaussum.circuit import evolve
 from gaussum.core import (
+    Beamsplitter,
     DensityFloorError,
     Displacement,
     GaussianDescription,
@@ -22,7 +25,12 @@ from gaussum.core import (
     random_pure_description,
     vacuum_description,
 )
-from gaussum.fock import fock_from_superposition, fock_heterodyne_density, fock_norm
+from gaussum.fock import (
+    fock_energy,
+    fock_from_superposition,
+    fock_heterodyne_density,
+    fock_norm,
+)
 from gaussum.overlaps import gram
 from gaussum.states import cat_state
 from gaussum.superposition import (
@@ -261,7 +269,8 @@ class TestTypicalParameters:
 
 
 class TestEnergyBookkeeping:
-    """Mean-photon growth bounds along a circuit and exact superposition energy."""
+    """⟨H⟩ bounds along a circuit and the exact superposition ⟨H⟩, both in
+    the one energy unit H = Σ_j(Q_j² + P_j² + 1)."""
 
     def test_empty_circuit(self):
         assert circuit_energy_bound(3.0, []) == 3.0
@@ -272,26 +281,44 @@ class TestEnergyBookkeeping:
         assert circuit_energy_bound(3.0, [Squeeze(-0.7, 1)]) == pytest.approx(
             3.0 * np.exp(1.4), rel=1e-12)
 
-    def test_blanket_factor_and_tight_variant(self):
-        gates = [PhaseShift(0.3, 1)]
-        assert circuit_energy_bound(2.0, gates) == pytest.approx(
-            2.0 * np.e ** 2, rel=1e-12)
-        assert circuit_energy_bound(2.0, gates, tight=True) == 2.0
+    def test_passive_gates_leave_bound_unchanged(self):
+        gates = [PhaseShift(0.3, 1), Beamsplitter(0.7, 1, 2), PhaseShift(-1.2, 2)]
+        assert circuit_energy_bound(2.0, gates) == 2.0
 
     def test_displacement_fold(self):
         alpha = np.array([0.5 + 0.5j])
         gates = [Displacement(alpha)]
         width = float(np.linalg.norm(hat_d(alpha)))
         expected = (np.sqrt(4.0) + width) ** 2
-        assert circuit_energy_bound(4.0, gates, tight=True) == pytest.approx(
-            expected, rel=1e-12)
+        assert circuit_energy_bound(4.0, gates) == pytest.approx(expected, rel=1e-12)
 
-    def test_heterodyne_budget(self):
-        assert circuit_energy_bound(1.0, [], heterodyne_steps=2) == 5.0
-
-    def test_negative_photons_rejected(self):
+    def test_negative_energy_rejected(self):
         with pytest.raises(ValidationError):
             circuit_energy_bound(-0.1, [])
+
+    def test_bound_covers_evolved_energy(self):
+        # Seeded gate lists with every gate kind, |z| ≤ 1; the oracle's ⟨H⟩
+        # after the gates must not exceed the bound from the input ⟨H⟩.
+        rng = np.random.default_rng(20261018)
+        cases = [(GaussianSuperposition(np.array([1.0 + 0j]), (vacuum_description(1),)),
+                  [Squeeze(0.8, 1)])]
+        for case in range(6):
+            n = 1 + case % 2
+            psi = random_superposition(rng, n=n, chi=2, z_max=0.4, alpha_max=0.6,
+                                       normalize=True)
+            gates = [Squeeze(rng.uniform(-1.0, 1.0), 1 + case % n),
+                     PhaseShift(rng.uniform(0.0, 2.0 * np.pi), 1),
+                     Displacement(0.4 * (rng.random(n) - 0.5 + 1j * (rng.random(n) - 0.5)))]
+            if n == 2:
+                gates.insert(1, Beamsplitter(rng.uniform(0.0, np.pi), 1, 2))
+            rng.shuffle(gates)
+            cases.append((psi, gates))
+        for case, (psi, gates) in enumerate(cases):
+            energy_in = fock_energy(fock_from_superposition(psi.terms))
+            bound = circuit_energy_bound(energy_in, gates)
+            energy_out = fock_energy(fock_from_superposition(evolve(psi, gates).terms))
+            assert bound >= energy_out - 1e-9, (
+                f"case {case}: bound {bound} below evolved ⟨H⟩ {energy_out}")
 
     def test_superposition_energy_frozen(self):
         vac = GaussianSuperposition(np.array([1.0 + 0j]), (vacuum_description(1),))
@@ -303,9 +330,36 @@ class TestEnergyBookkeeping:
         expected = 2.0 * np.tanh(1.0) + 2.0
         assert abs(superposition_energy_exact(cat) - expected) < 1e-9
 
+    def test_superposition_energy_matches_oracle(self):
+        for case in range(10):
+            n = 1 + case % 2
+            chi = 2 + case // 2
+            psi = random_superposition(400 + case, n=n, chi=chi, z_max=0.7,
+                                       alpha_max=0.8)
+            value = superposition_energy_exact(psi)
+            expected = fock_energy(fock_from_superposition(psi.terms))
+            assert abs(value - expected) < 1e-8, f"case {case}: {value} vs {expected}"
+
+    def test_superposition_energy_three_mode_cat(self):
+        # cat(1) ⊗ vacuum ⊗ vacuum: the cat's 2·tanh(1) + 2 plus 2 per vacuum.
+        cat = cat_state(1.0, "even")
+        vac = vacuum_description(2)
+        psi = GaussianSuperposition(
+            cat.coeffs,
+            tuple(GaussianDescription(block_diag(d.gamma, vac.gamma),
+                                      np.concatenate([d.alpha, vac.alpha]), d.r * vac.r)
+                  for d in cat.descriptions))
+        expected = 2.0 * np.tanh(1.0) + 6.0
+        assert abs(superposition_energy_exact(psi) - expected) < 1e-12
+
+    def test_superposition_energy_bright_cat(self):
+        # 2·|α|²·tanh(|α|²) + 2 at α = 20, far beyond the oracle's cutoffs.
+        value = superposition_energy_exact(cat_state(20.0, "even"))
+        assert value == pytest.approx(802.0, rel=1e-12)
+
     def test_superposition_energy_many_modes(self):
-        # Above two modes the number-basis oracle is unavailable, so the
-        # energy falls back to a bound; for χ=1 it must still be exact.
+        # The closed form covers every mode count; for χ=1 it is the
+        # branch energy itself.
         delta = random_pure_description(3, 0.8, 7, alpha_max=0.8)
         psi = GaussianSuperposition(np.array([1.0 + 0j]), (delta,))
         expected = energy_of_gaussian(delta.gamma, delta.d)
