@@ -13,7 +13,6 @@ explicit accuracy guarantee.
 from .core import (
     Beamsplitter,
     BranchPathError,
-    DensityFloorError,
     Displacement,
     GaussianDescription,
     Gate,
@@ -50,7 +49,7 @@ from .evolution import (
     apply_squeeze,
     apply_unitary,
 )
-from .measurement import DENSITY_FLOOR, heterodyne_density, postmeasure
+from .measurement import heterodyne_density, postmeasure
 from .superposition import (
     FastNormParameters,
     GaussianSuperposition,
@@ -81,8 +80,6 @@ __all__ = [
     "Beamsplitter",
     "BranchPathError",
     "CircuitSpec",
-    "DENSITY_FLOOR",
-    "DensityFloorError",
     "Displacement",
     "FastNormParameters",
     "GaussianDescription",

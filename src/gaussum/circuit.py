@@ -39,9 +39,9 @@ from .superposition import (
     GaussianSuperposition,
     circuit_energy_bound,
     exact_norm,
-    fast_norm,
     fast_norm_parameters,
-    post_measurement_superposition,
+    measureprob_approx,
+    measureprob_exact,
     superposition_energy_exact,
     typical_parameters,
 )
@@ -77,12 +77,7 @@ class CircuitSpec:
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """Outcome density plus the parameters that produced it.
-
-    dropped_weight is Σ|c_j|² of the branches the measurement discarded
-    because their outcome density underflowed (see
-    post_measurement_superposition); p covers only the branches kept.
-    """
+    """Outcome density plus the parameters that produced it."""
 
     p: float
     method: str
@@ -92,10 +87,9 @@ class SimulationResult:
     radius: Optional[float] = None
     samples: Optional[int] = None
     seed: Optional[int] = None
-    dropped_weight: float = 0.0
 
     def as_dict(self) -> dict:
-        """JSON fields; dropped_weight appears only when some weight was dropped."""
+        """JSON fields; parameters that do not apply are left out."""
         out = {"p": self.p, "method": self.method}
         for key, name in [("epsilon", "epsilon"), ("p_fail", "p_fail"),
                           ("energy_bound", "energy_bound"), ("radius", "R"),
@@ -103,8 +97,6 @@ class SimulationResult:
             value = getattr(self, key)
             if value is not None:
                 out[name] = value
-        if self.dropped_weight > 0:
-            out["dropped_weight"] = self.dropped_weight
         return out
 
     def to_json(self) -> str:
@@ -380,7 +372,7 @@ def evolve(psi: GaussianSuperposition, gates: Sequence[Gate]) -> GaussianSuperpo
     descriptions = list(psi.descriptions)
     for g in gates:
         descriptions = [apply_unitary(d, g) for d in descriptions]
-    return GaussianSuperposition(psi.coeffs, tuple(descriptions), psi.dropped_weight)
+    return GaussianSuperposition(psi.coeffs, tuple(descriptions))
 
 
 def _require_measure(spec: CircuitSpec) -> MeasureSpec:
@@ -400,9 +392,8 @@ def simulate_exact(psi0: GaussianSuperposition, circuit: CircuitSpec) -> Simulat
     if abs(norm - 1.0) > 1e-6:
         raise ValidationError(
             f"initial state must be normalized, got ‖Ψ₀‖ = {norm:.9g}")
-    post = post_measurement_superposition(evolve(psi0, circuit.gates), measure.beta)
-    p = float(exact_norm(post) ** 2 / np.pi ** measure.k)
-    return SimulationResult(p=p, method="exact", dropped_weight=post.dropped_weight)
+    p = measureprob_exact(evolve(psi0, circuit.gates), measure.beta)
+    return SimulationResult(p=p, method="exact")
 
 
 def simulate_approx(
@@ -444,9 +435,8 @@ def simulate_approx(
         energy_bound = circuit_energy_bound(superposition_energy_exact(psi0), circuit.gates)
         e_tilde = typical_parameters(energy_bound, p_fail).e_tilde
     radius, samples = fast_norm_parameters(e_tilde, epsilon, p_fail)
-    post = post_measurement_superposition(evolve(psi0, circuit.gates), measure.beta)
-    value = fast_norm(post, epsilon, p_fail, e_tilde, seed, workers=workers)
-    return SimulationResult(p=float(value / np.pi ** measure.k), method="approx",
-                            epsilon=epsilon, p_fail=p_fail, energy_bound=e_tilde,
-                            radius=radius, samples=samples, seed=seed,
-                            dropped_weight=post.dropped_weight)
+    p = measureprob_approx(evolve(psi0, circuit.gates), measure.beta, epsilon, p_fail,
+                           e_tilde, seed, workers=workers)
+    return SimulationResult(p=p, method="approx", epsilon=epsilon, p_fail=p_fail,
+                            energy_bound=e_tilde, radius=radius, samples=samples,
+                            seed=seed)

@@ -38,7 +38,7 @@ class ValidationError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A numerically ill-posed step (underflow, branch loss, tiny pivots)."""
+    """A numerically ill-posed step (zero anchor, lost branch, failed check)."""
 
 
 class BranchPathError(NumericError):
@@ -46,12 +46,8 @@ class BranchPathError(NumericError):
     the matrix is not positive definite."""
 
 
-class DensityFloorError(NumericError):
-    """An outcome density fell below the floor where phases are recoverable."""
-
-
 class PhaseRecoveryError(NumericError):
-    """A reference overlap became too small to divide out safely."""
+    """An anchor overlap is zero, so no phase can be divided out of it."""
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,11 @@ real, so Re λ = xᴴAx/‖x‖² > 0.  The same holds at every point of the pat
 M(t) = A + itB, t ∈ [0, 1]: no eigenvalue crosses the cut of the principal
 logarithm, and Σᵢ Log λᵢ is the continuous continuation of log det A.
 The tracked root is therefore exp(½·Σᵢ Log λᵢ), in closed form.
+
+The kernel itself works in log space (_log_triple_product): the triple
+product's exponent minus the two log-roots.  Public values exponentiate it,
+and measurement divides anchors out of it before exponentiating, so no
+anchor is ever too small to divide by.
 """
 
 from __future__ import annotations
@@ -43,9 +48,6 @@ from .core import (
     hat_d,
     symplectic_form,
 )
-
-#: Anchor overlaps smaller than this cannot be divided out reliably.
-ANCHOR_FLOOR = 1e-12
 
 #: Pairs per stacked kernel call in gram; bounds its working memory
 #: whatever the number of pairs (under a megabyte for n ≤ 2).
@@ -148,6 +150,23 @@ def pair_fidelity(delta1: GaussianDescription, delta2: GaussianDescription) -> f
     return float(_fidelity(delta1.gamma, delta1.d, delta2.gamma, delta2.d))
 
 
+def _log_sqrt_det(m: np.ndarray) -> np.ndarray:
+    """½·log det M on the branch of branched_sqrt_det, as a complex array.
+
+    Raises:
+        BranchPathError: the real part of some matrix is not positive
+            definite.
+    """
+    m = np.asarray(m)
+    try:
+        chol = np.linalg.cholesky(m.real)
+    except np.linalg.LinAlgError:
+        raise BranchPathError("real part of the matrix is not positive definite") from None
+    if np.iscomplexobj(m) and m.imag.any():
+        return 0.5 * np.log(np.linalg.eigvals(m)).sum(axis=-1)
+    return np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1).astype(complex)
+
+
 def branched_sqrt_det(m: np.ndarray):
     """√det(M) on the branch reached continuously from the real part of M.
 
@@ -167,16 +186,7 @@ def branched_sqrt_det(m: np.ndarray):
         BranchPathError: the real part of some matrix is not positive
             definite.
     """
-    m = np.asarray(m)
-    try:
-        chol = np.linalg.cholesky(m.real)
-    except np.linalg.LinAlgError:
-        raise BranchPathError("real part of the matrix is not positive definite") from None
-    if np.iscomplexobj(m) and m.imag.any():
-        log_det = np.log(np.linalg.eigvals(m)).sum(axis=-1)
-    else:
-        log_det = 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
-    return _scalar_or_array(np.exp(0.5 * log_det.astype(complex)))
+    return _scalar_or_array(np.exp(_log_sqrt_det(m)))
 
 
 def triple_overlap_product(
@@ -196,13 +206,28 @@ def triple_overlap_product(
     stack, or a complex for unstacked arguments.  The result is
     independent of the global phases of the ψ_i.
     """
+    return _scalar_or_array(np.exp(
+        _log_triple_product(gamma1, d1, gamma2, d2, gamma3, d3, alpha)))
+
+
+def _log_triple_product(
+    gamma1: np.ndarray, d1: np.ndarray,
+    gamma2: np.ndarray, d2: np.ndarray,
+    gamma3: np.ndarray, d3: np.ndarray,
+    alpha: np.ndarray,
+) -> np.ndarray:
+    """log T of triple_overlap_product, on the branch of its two roots.
+
+    The exponent minus log√det(s23/2) and log√det(s14/2) (see
+    _triple_exponent); finite however small T is.  Stacked arguments
+    broadcast.
+    """
     c, f0, g1p, s23, s14 = _triple_exponent(gamma1, d1, gamma2, d2, gamma3, d3)
     xi = hat_d(alpha) @ symplectic_form(np.shape(gamma1)[-1] // 2).T
     f = f0 - 0.5j * _mv(g1p, xi)
     expo = (c - _dot(xi, 0.25 * _mv(gamma1, xi) + 1j * d1)
             - _dot(f, np.linalg.solve(s14, f[..., None])[..., 0]))
-    den = branched_sqrt_det(s23 / 2) * branched_sqrt_det(s14 / 2)
-    return _scalar_or_array(np.exp(expo) / den)
+    return expo - _log_sqrt_det(s23 / 2) - _log_sqrt_det(s14 / 2)
 
 
 def _triple_exponent(
@@ -252,15 +277,14 @@ def overlaptriple(
     Stacked arguments broadcast as in triple_overlap_product.
 
     Raises:
-        PhaseRecoveryError: an anchor overlap is too small to divide out.
+        PhaseRecoveryError: the quotient is not finite (a zero anchor).
     """
-    u_min, v_min = np.abs(u).min(), np.abs(v).min()
-    if u_min < ANCHOR_FLOOR or v_min < ANCHOR_FLOOR:
-        raise PhaseRecoveryError(
-            f"anchor overlaps too small to recover a phase: |u|={u_min:.3e}, "
-            f"|v|={v_min:.3e}")
     t = triple_overlap_product(gamma1, d1, gamma2, d2, gamma3, d3, lam)
-    return _scalar_or_array(t / np.multiply(u, v))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value = np.divide(t, np.multiply(u, v))
+    if not np.all(np.isfinite(value)):
+        raise PhaseRecoveryError("an anchor overlap is zero; no phase to recover")
+    return _scalar_or_array(value)
 
 
 def _pair_overlaps(a: BranchStack, b: BranchStack) -> np.ndarray:
@@ -316,7 +340,7 @@ def gram(psi_a: BranchStack, psi_b: Optional[BranchStack] = None) -> np.ndarray:
 
     Raises:
         ValidationError: the two stacks have different mode counts.
-        PhaseRecoveryError: a reference overlap is too small to divide out.
+        PhaseRecoveryError: a reference overlap is zero.
     """
     chi_a = psi_a.r.size
     if psi_b is None:

@@ -94,9 +94,8 @@ def appendix_d_state(p: float, r: float, z: float) -> GaussianSuperposition:
     The factor i makes the real part of the branch overlap vanish, so the
     state is normalized for every p.  A small vacuum admixture of a bright
     coherent-times-squeezed product: measuring mode 1 near the coherent
-    amplitude r makes the vacuum branch's outcome density underflow for
-    large r, exercising the branch-dropping path of post-measurement
-    superpositions.
+    amplitude r makes the vacuum branch's weight negligible for large r,
+    exercising the branch-dropping rule of post-measurement superpositions.
 
     Args:
         p: weight of the bright branch, in [0, 1]; the boundary values

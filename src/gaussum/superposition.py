@@ -28,12 +28,12 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .core import (
-    DensityFloorError,
     Displacement,
     Gate,
     NumericError,
     Squeeze,
     ValidationError,
+    _uniform_complex_ball,
     coherent_description,
     hat_d,
 )
@@ -52,14 +52,10 @@ class GaussianSuperposition:
         coeffs: complex branch coefficients c_j.
         descriptions: one Gaussian description per branch, all on the same
             mode count.
-        dropped_weight: Σ|c_j|² of branches discarded upstream (by a
-            measurement whose outcome density underflowed); kept as a
-            record of how much weight the stored branches are missing.
     """
 
     coeffs: np.ndarray
     descriptions: tuple
-    dropped_weight: float = 0.0
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=complex).reshape(-1)
@@ -77,7 +73,6 @@ class GaussianSuperposition:
         coeffs.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
         object.__setattr__(self, "descriptions", descriptions)
-        object.__setattr__(self, "dropped_weight", float(self.dropped_weight))
 
     @property
     def n(self) -> int:
@@ -150,13 +145,8 @@ def fast_norm_parameters(energy_bound: float, epsilon: float, p_fail: float) -> 
 def _probe_value(psi: GaussianSuperposition, seed: int, index: int,
                  radius: float, weight: float) -> float:
     """One estimator sample: X_ℓ = w · |⟨α_ℓ, Ψ⟩|² with α_ℓ uniform in B_R."""
-    n = psi.n
     rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, index]))
-    g = rng.standard_normal(2 * n)
-    u = rng.random()
-    alpha = (g[0::2] + 1j * g[1::2]) / np.linalg.norm(g)
-    alpha *= radius * u ** (1.0 / (2 * n))
-    probe = coherent_description(alpha)
+    probe = coherent_description(_uniform_complex_ball(psi.n, radius, rng))
     amp = 0.0 + 0.0j
     # One kernel call per branch keeps the cost per sample proportional to
     # χ (acceptance criterion 10); a stacked 1×χ gram call is dominated by
@@ -215,29 +205,24 @@ def post_measurement_superposition(
     """Unnormalized post-measurement superposition Σ_j c_j √(πᵏ p_j) ψ(Δ'_j).
 
     Branch weights are chosen so that ‖result‖²/πᵏ is the outcome density
-    of Ψ.  Branches whose individual outcome density underflows the
-    recovery floor are dropped and recorded in dropped_weight.
-
-    Raises:
-        DensityFloorError: every branch underflowed.
+    of Ψ.  Every branch is conditioned (exactly, for any outcome; see
+    measurement.postmeasure); branch j is kept iff its new weight
+    |c'_j| is at least one ulp of the largest, ε·max_k|c'_k| with ε the
+    double-precision machine epsilon.  Each cross term a dropped branch
+    leaves out is then at most 2ε·max_k|c'_k|², the size of the rounding
+    of the Gram sum itself.  There is no absolute floor: when every p_j
+    lies below the double range, all branches are kept with weight 0 and
+    the density reads 0.0.
     """
     outcome = np.asarray(outcome, dtype=complex).reshape(-1)
     k = outcome.size
-    coeffs = []
-    descriptions = []
-    dropped = psi.dropped_weight
-    for c, d in zip(psi.coeffs, psi.descriptions):
-        try:
-            d_post, p = postmeasure(d, outcome)
-        except DensityFloorError:
-            dropped += float(abs(c) ** 2)
-            continue
-        coeffs.append(c * np.sqrt(np.pi ** k * p))
-        descriptions.append(d_post)
-    if not coeffs:
-        raise DensityFloorError(
-            "every branch's outcome density underflowed the recovery floor")
-    return GaussianSuperposition(np.array(coeffs), tuple(descriptions), dropped)
+    conditioned = [postmeasure(d, outcome) for d in psi.descriptions]
+    coeffs = np.array([c * np.sqrt(np.pi ** k * p)
+                       for c, (_, p) in zip(psi.coeffs, conditioned)])
+    magnitudes = np.abs(coeffs)
+    keep = magnitudes >= np.finfo(float).eps * magnitudes.max()
+    return GaussianSuperposition(
+        coeffs[keep], tuple(d for (d, _), kept in zip(conditioned, keep) if kept))
 
 
 def measureprob_exact(psi: GaussianSuperposition, outcome: np.ndarray) -> float:

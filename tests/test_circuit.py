@@ -57,7 +57,7 @@ def _swap_modes_2(psi: GaussianSuperposition) -> GaussianSuperposition:
     swapped = []
     for d in psi.descriptions:
         swapped.append(type(d)(perm @ d.gamma @ perm.T, d.alpha[::-1].copy(), d.r))
-    return GaussianSuperposition(psi.coeffs, tuple(swapped), psi.dropped_weight)
+    return GaussianSuperposition(psi.coeffs, tuple(swapped))
 
 
 class TestParsing:
@@ -302,24 +302,30 @@ class TestSimulateApprox:
 
 
 class TestDroppedWeight:
-    """Weight discarded by the measurement is reported, not silently lost."""
+    """A branch the measurement drops weighs less than one ulp of the largest,
+    so the density is unchanged and no dropped weight is reported."""
 
     SPEC = CircuitSpec(2, (), MeasureSpec(1, np.array([26.0 + 0j])))
 
-    def test_exact_reports_dropped_vacuum_branch(self):
-        # Measured at β = 26 the vacuum branch's density underflows, so half
-        # the weight of appendixD(0.5, 26, 0.3) is dropped.
+    def test_exact_drops_vacuum_branch(self):
+        # Measured at β = 26, the vacuum branch of appendixD(0.5, 26, 0.3) has
+        # density e^{-676}/π: dropped, and p is the closed form 1/(2π).
         result = simulate_exact(appendix_d_state(0.5, 26.0, 0.3), self.SPEC)
-        assert result.dropped_weight == pytest.approx(0.5, rel=1e-12)
-        assert result.as_dict()["dropped_weight"] == result.dropped_weight
+        expected = (np.exp(-26.0 ** 2) + 1.0) / (2.0 * np.pi)
+        assert result.p == pytest.approx(expected, rel=1e-12)
+        assert set(result.as_dict()) == {"p", "method"}
 
-    def test_approx_reports_dropped_vacuum_branch(self):
-        result = simulate_approx(appendix_d_state(0.5, 26.0, 0.3), self.SPEC,
-                                 epsilon=0.5, p_fail=0.25, seed=2, energy_override=2.0)
-        assert result.dropped_weight == pytest.approx(0.5, rel=1e-12)
+    def test_approx_drops_vacuum_branch(self):
+        # Bit-identical to the run on the bright branch alone.
+        psi = appendix_d_state(0.5, 26.0, 0.3)
+        bright = GaussianSuperposition(psi.coeffs[1:], psi.descriptions[1:])
+        results = [simulate_approx(state, self.SPEC, epsilon=0.5, p_fail=0.25, seed=2,
+                                   energy_override=2.0)
+                   for state in (psi, bright)]
+        assert results[0] == results[1]
+        assert "dropped_weight" not in results[0].as_dict()
 
     def test_no_key_when_nothing_dropped(self):
         psi, spec = parse_circuit(VACUUM_DOC)
         result = simulate_exact(psi, spec)
-        assert result.dropped_weight == 0.0
         assert set(result.as_dict()) == {"p", "method"}

@@ -144,15 +144,16 @@ class TestSimulate:
         assert payload["R"] == 2.0
         assert payload["L"] == 6
 
-    def test_dropped_weight_reported(self, tmp_path, capsys):
-        # At β = 26 the vacuum branch underflows: half the state is dropped,
-        # and the output says so next to p.
+    def test_negligible_branch_dropped_silently(self, tmp_path, capsys):
+        # At β = 26 the vacuum branch weighs e^{-338} of the bright one: it is
+        # dropped, p is the closed form, and the schema stays {p, method}.
         path = _write(tmp_path, "bright.json", BRIGHT_POINTER)
         code, out, _ = _run(capsys, ["simulate", "--circuit", path])
         assert code == EXIT_OK
         payload = json.loads(out)
-        assert payload["dropped_weight"] == pytest.approx(0.5, rel=1e-12)
-        assert payload["p"] == pytest.approx(1.0 / (2.0 * np.pi), rel=1e-9)
+        assert set(payload) == {"p", "method"}
+        expected = (np.exp(-26.0 ** 2) + 1.0) / (2.0 * np.pi)
+        assert payload["p"] == pytest.approx(expected, rel=1e-12)
 
     def test_fresh_seed_is_reported_and_reusable(self, tmp_path, capsys):
         path = _write(tmp_path, "vac.json", VACUUM_MEASURED)
@@ -308,17 +309,27 @@ class TestErrorReporting:
         assert json.loads(err)["error"] == "io"
 
     def test_numeric_error_reports_kind(self, tmp_path, capsys):
-        # A measurement far outside the state's support underflows the
-        # density floor, which surfaces as a numeric diagnostics document.
-        doc = json.loads(VACUUM_MEASURED)
-        doc["measure"]["beta"] = [[60.0, 0.0]]
-        path = _write(tmp_path, "far.json", json.dumps(doc))
-        code, out, err = _run(capsys, ["simulate", "--circuit", path])
+        # A cat at α = 20 does not fit the oracle's number-basis cutoff; the
+        # failure surfaces as a numeric diagnostics document naming its kind.
+        doc = json.loads(CAT_MEASURED)
+        doc["state"]["alpha"] = [20.0, 0.0]
+        path = _write(tmp_path, "bright-cat.json", json.dumps(doc))
+        code, out, err = _run(capsys, ["oracle-check", "--circuit", path])
         assert code == EXIT_NUMERIC
         assert out == ""
         diag = json.loads(err)
         assert diag["error"] == "numeric"
-        assert diag["kind"]
+        assert diag["kind"] == "TailMassError"
+
+    def test_far_outcome_reads_zero(self, tmp_path, capsys):
+        # A measurement far outside the state's support is no error: its
+        # density lies below the double range and reads 0.0.
+        doc = json.loads(VACUUM_MEASURED)
+        doc["measure"]["beta"] = [[60.0, 0.0]]
+        path = _write(tmp_path, "far.json", json.dumps(doc))
+        code, out, _ = _run(capsys, ["simulate", "--circuit", path])
+        assert code == EXIT_OK
+        assert json.loads(out) == {"p": 0.0, "method": "exact"}
 
     def test_usage_error_exits_nonzero(self, capsys):
         code = main(["simulate"])  # missing required --circuit

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from conftest import complex_in_disc
 
 from gaussum.core import (
-    DensityFloorError,
     coherent_description,
     random_pure_description,
     reference_overlap_magnitude,
@@ -117,5 +115,10 @@ class TestPostmeasure:
             assert abs(value - 1.0) < 1e-6, f"case {case}: overlap {value}"
 
     def test_far_outcome_underflows(self):
-        with pytest.raises(DensityFloorError):
-            postmeasure(vacuum_description(1), np.array([60.0 + 0.0j]))
+        # p = e^{-3600}/π lies below the double range and reads 0.0; the
+        # conditioned description is still exact: the coherent state |60⟩.
+        post, p = postmeasure(vacuum_description(1), np.array([60.0 + 0.0j]))
+        assert p == 0.0
+        assert validate_description(post).ok
+        assert np.allclose(post.alpha, [60.0], atol=1e-12)
+        assert abs(post.r - 1.0) < 1e-12, f"r' = {post.r}"

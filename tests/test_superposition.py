@@ -12,7 +12,6 @@ from conftest import random_superposition
 from gaussum.circuit import evolve
 from gaussum.core import (
     Beamsplitter,
-    DensityFloorError,
     Displacement,
     GaussianDescription,
     NumericError,
@@ -24,6 +23,7 @@ from gaussum.core import (
     hat_d,
     random_pure_description,
     vacuum_description,
+    validate_description,
 )
 from gaussum.fock import (
     fock_energy,
@@ -32,7 +32,7 @@ from gaussum.fock import (
     fock_norm,
 )
 from gaussum.overlaps import gram
-from gaussum.states import cat_state
+from gaussum.states import appendix_d_state, cat_state, gkp_comb
 from gaussum.superposition import (
     GaussianSuperposition,
     circuit_energy_bound,
@@ -183,7 +183,7 @@ class TestFastNorm:
 
 
 class TestPostMeasurement:
-    """Branch-wise conditioning with weight bookkeeping."""
+    """Branch-wise conditioning and the relative rule for dropping branches."""
 
     def test_two_mode_vacuum_at_origin(self):
         psi = GaussianSuperposition(np.array([1.0 + 0j]), (vacuum_description(2),))
@@ -191,23 +191,44 @@ class TestPostMeasurement:
         assert post.chi == 1
         assert abs(post.coeffs[0] - 1.0) < 1e-12, f"c'₁ = {post.coeffs[0]}"
         assert np.allclose(post.descriptions[0].gamma, np.eye(4), atol=1e-12)
-        assert post.dropped_weight == 0.0
 
-    def test_underflowing_branch_dropped_and_recorded(self):
+    def test_underflowing_branch_dropped(self):
+        # The far branch's weight √(π·e^{-676}/π)/√2 ≈ 1e-147 is far below one
+        # ulp of the vacuum branch's 1/√2: it is dropped, and p is unchanged.
         bright = coherent_description(np.array([26.0 + 0.0j]))
         psi = GaussianSuperposition(
             np.array([1.0 + 0j, 1.0 + 0j]) / np.sqrt(2.0),
             (vacuum_description(1), bright))
         post = post_measurement_superposition(psi, np.array([0.0j]))
         assert post.chi == 1, "far branch must be dropped"
-        assert abs(post.dropped_weight - 0.5) < 1e-12, (
-            f"dropped weight {post.dropped_weight}")
+        assert np.allclose(post.descriptions[0].alpha, [0.0], atol=1e-12)
+        assert abs(post.coeffs[0] - 1.0 / np.sqrt(2.0)) < 1e-15
 
-    def test_all_branches_dropped_raises(self):
-        bright = coherent_description(np.array([26.0 + 0.0j]))
-        psi = GaussianSuperposition(np.array([1.0 + 0j]), (bright,))
-        with pytest.raises(DensityFloorError):
-            post_measurement_superposition(psi, np.array([0.0j]))
+    def test_branch_within_an_ulp_kept(self):
+        # At β = 5.8 the far branch's weight is e^{-(5.8)²/2} ≈ 5e-8 of the
+        # near one's: small, but above one ulp, so it is kept.
+        psi = GaussianSuperposition(
+            np.array([1.0 + 0j, 1.0 + 0j]) / np.sqrt(2.0),
+            (coherent_description(np.array([5.8 + 0.0j])), vacuum_description(1)))
+        post = post_measurement_superposition(psi, np.array([5.8 + 0.0j]))
+        assert post.chi == 2
+        ratio = abs(post.coeffs[1]) / abs(post.coeffs[0])
+        assert ratio == pytest.approx(np.exp(-0.5 * 5.8 ** 2), rel=1e-12)
+
+    def test_all_branches_underflowing_read_zero(self):
+        # Every branch's density at β = 60 lies below the double range: the
+        # branches are conditioned exactly, weigh 0, and the density is 0.0.
+        psi = GaussianSuperposition(
+            np.array([1.0 + 0j, 1.0 + 0j]),
+            (vacuum_description(1), coherent_description(np.array([-1.0 + 0.0j]))))
+        beta = np.array([60.0 + 0.0j])
+        post = post_measurement_superposition(psi, beta)
+        assert np.all(post.coeffs == 0.0)
+        for d in post.descriptions:
+            assert validate_description(d).ok
+            assert np.allclose(d.alpha, beta, atol=1e-12)
+            assert abs(d.r - 1.0) < 1e-12, f"r' = {d.r}"
+        assert measureprob_exact(psi, beta) == 0.0
 
     def test_weights_reproduce_density(self):
         for case in range(10):
@@ -244,6 +265,31 @@ class TestMeasureprob:
             value = measureprob_approx(psi, beta, 0.3, 0.1, 2.0, seed)
             hits += abs(value * np.pi - 1.0) <= 0.3
         assert hits >= 150, f"success {hits}/200 below 75%"
+
+
+class TestConditioningWindow:
+    """Outcomes whose branch densities lie far below 1 but inside the double
+    range are conditioned exactly (they once fell between two floors)."""
+
+    @pytest.mark.parametrize("r", [4, 6, 8, 12, 20, 26, 38])
+    @pytest.mark.parametrize("at", [1.0, 0.5])
+    def test_appendix_d_closed_form(self, r, at):
+        # √0.5·|0,0⟩ + i·√0.5·|r⟩⊗S(0.3)|0⟩ measured on mode 1 at real β: the
+        # factor i cancels the cross term, so p = (e^{-β²} + e^{-(β-r)²})/(2π).
+        beta = at * r
+        p = measureprob_exact(appendix_d_state(0.5, float(r), 0.3),
+                              np.array([beta + 0.0j]))
+        expected = (np.exp(-beta ** 2) + np.exp(-(beta - r) ** 2)) / (2.0 * np.pi)
+        assert p == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("step", [0.5, 0.8, 1.5])
+    @pytest.mark.parametrize("beta", [0.0, 1.0, 2.5])
+    def test_gkp_comb_matches_oracle(self, step, beta):
+        psi = gkp_comb(0.5, 8, step, 2.0)
+        outcome = np.array([beta + 0.0j])
+        p = measureprob_exact(psi, outcome)
+        expected = fock_heterodyne_density(fock_from_superposition(psi.terms), outcome)
+        assert abs(p - expected) < 1e-8, f"{p} vs oracle {expected}"
 
 
 class TestTypicalParameters:
