@@ -405,7 +405,7 @@ def simulate_approx(
     workers: int = 1,
     energy_override: Optional[float] = None,
 ) -> SimulationResult:
-    """Evolve and estimate the outcome density with the O(χ) estimator.
+    """Evolve and estimate the outcome density with the O(χ)-per-sample estimator.
 
     The probe parameters need a bound on ⟨H⟩ = Σ_j⟨Q_j² + P_j² + 1⟩ of the
     normalized post-measurement state.  It is derived in ⟨H⟩ throughout:
@@ -415,16 +415,21 @@ def simulate_approx(
     estimator's failure probability then covers both the atypical-outcome
     event and the sampling deviation.
 
+    Deriving the bound is not O(χ): the exact input energy takes one χ×χ
+    Gram matrix plus the χ×χ energy matrix, O(χ²) pair evaluations, which
+    outweighs the estimator itself at large χ.  Pass energy_override to
+    skip it; the run is then O(χ) per sample throughout.
+
     Args:
         psi0: initial superposition.
         circuit: gate list plus measurement.
         epsilon: relative accuracy of the density estimate.
         p_fail: failure budget (also used as the typicality budget δ).
         seed: estimator seed; a fresh one is drawn (and reported) if None.
-        workers: worker threads for the sampling loop.
+        workers: worker threads for the sampling loop, at least 1.
         energy_override: use this post-measurement energy bound directly
             instead of deriving one, pinning the probe radius and sample
-            count for reproducibility.
+            count for reproducibility and skipping the O(χ²) derivation.
     """
     measure = _require_measure(circuit)
     if seed is None:

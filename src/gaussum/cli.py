@@ -125,11 +125,14 @@ def _add_approx_options(sub: argparse.ArgumentParser) -> None:
                      help="failure budget of the estimator (default 0.1)")
     sub.add_argument("--energy-bound", type=float, default=None, dest="energy_bound",
                      help="override the estimator's energy bound, pinning its "
-                          "probe radius and sample count (derived if omitted)")
+                          "probe radius and sample count; if omitted it is derived "
+                          "from the exact input energy, which costs an O(chi^2) "
+                          "Gram matrix")
     sub.add_argument("--seed", type=int, default=None,
                      help="estimator seed (fresh and reported if omitted)")
     sub.add_argument("--workers", type=int, default=1,
-                     help="worker threads for the sampling loop (default 1)")
+                     help="worker threads for the sampling loop, at least 1 "
+                          "(default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -8,13 +8,16 @@ description per branch.  Norms come in two flavors:
   triangle by the stacked pair kernel.
 * fast_norm is a randomized estimator: it samples coherent probes uniformly
   from a phase-space ball whose radius comes from an energy bound, and
-  averages the heterodyne density of the probes against Ψ.  Each sample
-  touches every branch once, so the cost is O(χ) per sample, and the
-  estimate lands within (1±ε)·‖Ψ‖² with probability at least 1-p_fail.
+  averages the heterodyne density of the probes against Ψ.  The probes of
+  a run of samples are stacked as coherent branches and evaluated against
+  every branch by the same stacked pair kernel, in gram's cross form.
+  Each sample touches every branch once, so the cost is O(χ) per sample,
+  and the estimate lands within (1±ε)·‖Ψ‖² with probability at least
+  1-p_fail.
 
-Sampling uses one counter-based generator per sample index, so results are
-bit-identical for a fixed seed no matter how samples are split across
-workers.
+Sampling uses one counter-based generator per sample index, and each
+sample is reduced on its own, so results are bit-identical for a fixed
+seed no matter how samples are split across workers or kernel calls.
 """
 
 from __future__ import annotations
@@ -34,11 +37,17 @@ from .core import (
     Squeeze,
     ValidationError,
     _uniform_complex_ball,
-    coherent_description,
     hat_d,
 )
 from .measurement import postmeasure
-from .overlaps import BranchStack, energy_gram, gram, gram_defect, overlap, stack_branches
+from .overlaps import (
+    GRAM_BLOCK,
+    BranchStack,
+    energy_gram,
+    gram,
+    gram_defect,
+    stack_branches,
+)
 
 #: Largest tolerated | |G_kj|² - pair_fidelity(ψ_k, ψ_j) | in a Gram matrix.
 GRAM_FIDELITY_TOL = 1e-8
@@ -142,23 +151,32 @@ def fast_norm_parameters(energy_bound: float, epsilon: float, p_fail: float) -> 
     return FastNormParameters(radius, samples)
 
 
-def _probe_value(psi: GaussianSuperposition, seed: int, index: int,
-                 radius: float, weight: float) -> float:
-    """One estimator sample: X_ℓ = w · |⟨α_ℓ, Ψ⟩|² with α_ℓ uniform in B_R."""
-    rng = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, index]))
-    probe = coherent_description(_uniform_complex_ball(psi.n, radius, rng))
-    amp = 0.0 + 0.0j
-    # One kernel call per branch keeps the cost per sample proportional to
-    # χ (acceptance criterion 10); a stacked 1×χ gram call is dominated by
-    # its fixed cost at the χ ≤ 512 that criterion measures.
-    for c, d in zip(psi.coeffs, psi.descriptions):
-        amp += c * overlap(probe, d)
-    return weight * float(abs(amp) ** 2)
+def _probe_stack(n: int, seed: int, lo: int, hi: int, radius: float) -> BranchStack:
+    """The coherent probes α_ℓ, lo ≤ ℓ < hi, uniform in B_R, as one stack.
+
+    Sample ℓ draws from its own Philox stream (counter ℓ), so each probe is
+    the same whichever range it is stacked in.
+    """
+    alpha = np.stack([
+        _uniform_complex_ball(n, radius, np.random.Generator(
+            np.random.Philox(key=seed, counter=[0, 0, 0, ell])))
+        for ell in range(lo, hi)])
+    eye = np.broadcast_to(np.eye(2 * n), (hi - lo, 2 * n, 2 * n))
+    return BranchStack(eye, hat_d(alpha), alpha, np.ones(hi - lo, dtype=complex))
 
 
 def fast_norm(psi: GaussianSuperposition, epsilon: float, p_fail: float,
               energy_bound: float, seed: int, workers: int = 1) -> float:
     """Randomized estimate of ‖Ψ‖², within (1±ε)·‖Ψ‖² w.p. ≥ 1 - p_fail.
+
+    Sample ℓ is X_ℓ = w·|Σ_j c_j ⟨α_ℓ, ψ_j⟩|² with α_ℓ uniform in the ball
+    B_R and w = R²ⁿ/n!; the estimate is the mean of the L samples.  The
+    amplitudes ⟨α_ℓ, ψ_j⟩ of a run of samples come from one cross-form
+    gram call of the probes against psi.branches, at most GRAM_BLOCK pairs
+    (or one row) per call, so the working memory does not grow with L.
+    Each row is reduced on its own, with an elementwise sum rather than a
+    matrix product, so X_ℓ does not depend on the samples it shares a call
+    with.
 
     Args:
         psi: the superposition; cost is O(χ) per sample.
@@ -170,22 +188,31 @@ def fast_norm(psi: GaussianSuperposition, epsilon: float, p_fail: float,
         seed: integer key of the counter-based generator.  Sample ℓ draws
             from its own stream, so the result is bit-identical for any
             worker count.
-        workers: threads filling disjoint sample ranges.
+        workers: threads filling disjoint sample ranges, at least 1.
 
     Returns:
         The estimate of the squared norm (not the norm).
+
+    Raises:
+        ValidationError: the seed or the worker count is not an integer,
+            or the worker count is below 1.
     """
     if not isinstance(seed, (int, np.integer)):
         raise ValidationError("fast_norm needs an integer seed")
+    if not isinstance(workers, (int, np.integer)) or workers < 1:
+        raise ValidationError(f"need an integer worker count of at least 1, got {workers!r}")
     radius, samples = fast_norm_parameters(energy_bound, epsilon, p_fail)
     weight = radius ** (2 * psi.n) / math.factorial(psi.n)
+    rows = max(1, GRAM_BLOCK // psi.chi)
     values = np.empty(samples, dtype=float)
 
     def fill(lo: int, hi: int) -> None:
-        for ell in range(lo, hi):
-            values[ell] = _probe_value(psi, int(seed), ell, radius, weight)
+        for start in range(lo, hi, rows):
+            stop = min(start + rows, hi)
+            g = gram(_probe_stack(psi.n, int(seed), start, stop, radius), psi.branches)
+            values[start:stop] = weight * np.abs((g * psi.coeffs).sum(axis=1)) ** 2
 
-    workers = max(1, int(workers))
+    workers = int(workers)
     if workers == 1 or samples < 2 * workers:
         fill(0, samples)
     else:

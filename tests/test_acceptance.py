@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from gaussum import overlaps
 from gaussum.circuit import CircuitSpec, MeasureSpec, simulate_approx
 from gaussum.core import (
     Beamsplitter,
@@ -258,10 +259,13 @@ def test_criterion_09_bright_branch_variance_limit():
         f"variance sum {var_sum!r} != 1 + cosh 2")
 
 
-def test_criterion_10_runtime_scaling():
-    """Runtime of exact_norm scales as χ² (log-log slope 2.0 ± 0.3) and of
-    fast_norm at fixed (ε, p_fail, E) as χ (slope 1.0 ± 0.3) over
-    χ ∈ {16, ..., 512}, all within a 5-minute budget."""
+def test_criterion_10_runtime_scaling(monkeypatch):
+    """Runtime of exact_norm scales as χ² (log-log slope 2.0 ± 0.3) over
+    χ ∈ {16, ..., 512} and of fast_norm at fixed (ε, p_fail, E) as χ
+    (slope 1.0 ± 0.3) over χ ∈ {256, ..., 8192}, all within a 5-minute
+    budget.  The estimator's range starts where its L·χ pair evaluations,
+    not its fixed cost per call, dominate.  Counted exactly, exact_norm
+    evaluates χ(χ-1)/2 pairs and fast_norm L·χ."""
     def chain(chi: int, seed: int) -> GaussianSuperposition:
         gen = np.random.default_rng(seed)
         x = gen.standard_normal((chi, 2))
@@ -271,28 +275,50 @@ def test_criterion_10_runtime_scaling():
             coeffs, tuple(coherent_description(np.array([a])) for a in labels))
 
     start = time.perf_counter()
-    chis = [16, 32, 64, 128, 256, 512]
-    states = {chi: chain(chi, 100 + chi) for chi in chis}
+    exact_chis = [16, 32, 64, 128, 256, 512]
+    fast_chis = [256, 512, 1024, 2048, 4096, 8192]
+    states = {chi: chain(chi, 100 + chi) for chi in sorted(set(exact_chis + fast_chis))}
+    samples = fast_norm_parameters(2.0, 0.5, 0.25).samples
 
     exact_times = []
-    for chi in chis:
+    for chi in exact_chis:
         reps = []
         for _ in range(2 if chi <= 128 else 1):
             t0 = time.perf_counter()
             exact_norm(states[chi])
             reps.append(time.perf_counter() - t0)
         exact_times.append(min(reps))
-    slope_exact = np.polyfit(np.log(chis), np.log(exact_times), 1)[0]
+    slope_exact = np.polyfit(np.log(exact_chis), np.log(exact_times), 1)[0]
 
     fast_times = []
-    for chi in chis:
+    for chi in fast_chis:
         reps = []
         for _ in range(3):
             t0 = time.perf_counter()
             fast_norm(states[chi], 0.5, 0.25, 2.0, 12345)
             reps.append(time.perf_counter() - t0)
         fast_times.append(min(reps))
-    slope_fast = np.polyfit(np.log(chis), np.log(fast_times), 1)[0]
+    slope_fast = np.polyfit(np.log(fast_chis), np.log(fast_times), 1)[0]
+
+    pairs = []
+    kernel = overlaps._pair_overlaps
+
+    def counted(a, b):
+        values = kernel(a, b)
+        pairs.append(np.size(values))
+        return values
+
+    monkeypatch.setattr(overlaps, "_pair_overlaps", counted)
+    for chi in (exact_chis[0], exact_chis[-1]):
+        pairs.clear()
+        exact_norm(states[chi])
+        assert sum(pairs) == chi * (chi - 1) // 2, (
+            f"exact_norm evaluated {sum(pairs)} pairs at χ={chi}")
+    for chi in (fast_chis[0], fast_chis[-1]):
+        pairs.clear()
+        fast_norm(states[chi], 0.5, 0.25, 2.0, 12345)
+        assert sum(pairs) == samples * chi, (
+            f"fast_norm evaluated {sum(pairs)} pairs at χ={chi}, L={samples}")
 
     elapsed = time.perf_counter() - start
     assert 1.7 <= slope_exact <= 2.3, f"exact_norm slope {slope_exact:.3f}"

@@ -301,6 +301,18 @@ class TestErrorReporting:
         assert diag["error"] == "validation"
         assert diag["message"]
 
+    @pytest.mark.parametrize("command", ["simulate", "norm"])
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_is_validation_error(self, tmp_path, capsys,
+                                                         command, workers):
+        path = _write(tmp_path, "vac.json", VACUUM_MEASURED)
+        code, out, err = _run(capsys, [
+            command, "--circuit", path, "--method", "approx", "--seed", "1",
+            "--energy-bound", "2.0", "--workers", workers])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert json.loads(err)["error"] == "validation"
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         path = str(tmp_path / "nonexistent.json")
         code, out, err = _run(capsys, ["simulate", "--circuit", path])

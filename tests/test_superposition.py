@@ -18,6 +18,7 @@ from gaussum.core import (
     PhaseShift,
     Squeeze,
     ValidationError,
+    _uniform_complex_ball,
     coherent_description,
     energy_of_gaussian,
     hat_d,
@@ -31,7 +32,7 @@ from gaussum.fock import (
     fock_heterodyne_density,
     fock_norm,
 )
-from gaussum.overlaps import gram
+from gaussum.overlaps import GRAM_BLOCK, gram, overlap
 from gaussum.states import appendix_d_state, cat_state, gkp_comb
 from gaussum.superposition import (
     GaussianSuperposition,
@@ -180,6 +181,42 @@ class TestFastNorm:
         psi = _unnormalized_cat()
         with pytest.raises(ValidationError):
             fast_norm(psi, 0.2, 0.25, 4.0, "seed")
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_worker_count_below_one_rejected(self, workers):
+        psi = _unnormalized_cat()
+        with pytest.raises(ValidationError):
+            fast_norm(psi, 0.2, 0.25, 4.0, 1, workers=workers)
+
+    def test_stacked_probes_match_per_branch_loop(self):
+        # n = 2, χ = 17 squeezed branches with complex reference overlaps and
+        # L = 48, so the L·χ = 816 probe pairs cross a GRAM_BLOCK boundary.
+        # The reference is the per-branch loop Σ_j c_j·overlap(α_ℓ, ψ_j) over
+        # the same Philox draws.
+        rng = np.random.default_rng(2718)
+        base = random_superposition(rng, n=2, chi=17, z_max=1.0)
+        phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=base.chi))
+        psi = GaussianSuperposition(base.coeffs, tuple(
+            GaussianDescription(d.gamma, d.alpha, d.r * ph)
+            for d, ph in zip(base.descriptions, phases)))
+        epsilon, p_fail, energy, seed = 0.3, 0.25, 4.0, 31337
+        radius, samples = fast_norm_parameters(energy, epsilon, p_fail)
+        assert samples * psi.chi > GRAM_BLOCK
+
+        estimates = [fast_norm(psi, epsilon, p_fail, energy, seed, workers=w)
+                     for w in (1, 2, 3)]
+        assert estimates[0] == estimates[1] == estimates[2], (
+            f"worker counts 1, 2, 3 gave {estimates}")
+
+        weight = radius ** 4 / 2.0
+        total = 0.0
+        for ell in range(samples):
+            gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, ell]))
+            probe = coherent_description(_uniform_complex_ball(2, radius, gen))
+            amp = sum(c * overlap(probe, d) for c, d in psi.terms)
+            total += weight * abs(amp) ** 2
+        reference = total / samples
+        assert estimates[0] == pytest.approx(reference, rel=1e-12, abs=0.0)
 
 
 class TestPostMeasurement:
