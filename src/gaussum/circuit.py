@@ -6,8 +6,10 @@ keys, malformed numbers, and out-of-range modes are rejected with errors
 that name the offending path (e.g. "gates[2].omega").  Complex numbers
 are written as [re, im] pairs throughout.
 
-The exact driver evolves every branch, conditions on the heterodyne
-outcome, and evaluates the outcome density through the full Gram norm.
+simulate_exact evolves the branch stack (one call per gate), conditions
+it on the heterodyne outcome (one call), and evaluates the outcome density
+through the full Gram norm.  A "terms" document is parsed into one
+BranchStack and validated by one stacked call.
 The approximate driver replaces the Gram norm with the randomized
 estimator, deriving its probe parameters from an energy bound that is
 propagated through the gate list.
@@ -25,15 +27,16 @@ import numpy as np
 from .core import (
     Beamsplitter,
     Displacement,
-    GaussianDescription,
     Gate,
     PhaseShift,
     Squeeze,
     ValidationError,
-    reference_overlap_magnitude,
+    _log_reference_magnitude,
+    hat_d,
     validate_description,
 )
 from .evolution import apply_unitary
+from .overlaps import BranchStack
 from .states import appendix_d_state, cat_state, gkp_comb
 from .superposition import (
     GaussianSuperposition,
@@ -172,24 +175,37 @@ def _mode_in_range(mode: int, modes: int, path: str) -> int:
 
 
 def _parse_term(obj: dict, modes: int, path: str):
+    """(coeff, Γ, α, r or None) of one term; r is None when left out."""
     _check_keys(obj, {"coeff", "gamma", "alpha", "r"}, path)
     coeff = _as_complex(_get(obj, "coeff", path), f"{path}.coeff")
     gamma = (_as_real_matrix(obj["gamma"], 2 * modes, f"{path}.gamma")
              if "gamma" in obj else np.eye(2 * modes))
     alpha = (_as_complex_vector(obj["alpha"], modes, f"{path}.alpha")
              if "alpha" in obj else np.zeros(modes, dtype=complex))
-    if "r" in obj:
-        r = _as_complex(obj["r"], f"{path}.r")
-    else:
-        r = reference_overlap_magnitude(gamma)
-    try:
-        delta = GaussianDescription(gamma, alpha, r)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-    report = validate_description(delta)
-    if not report.ok:
-        raise ValidationError(f"{path}: invalid description ({report})")
-    return coeff, delta
+    r = _as_complex(obj["r"], f"{path}.r") if "r" in obj else None
+    return coeff, gamma, alpha, r
+
+
+def _term_stack(parsed: list, path: str) -> BranchStack:
+    """The parsed terms as one BranchStack, checked by one stacked
+    validate_description call; a left-out r takes the positive value
+    fixed by Γ.  An invalid term, a covariance with det(I + Γ) ≤ 0
+    included, is named by its index."""
+    gamma = np.stack([g for _, g, _, _ in parsed])
+    alpha = np.stack([a for _, _, a, _ in parsed])
+    missing = np.array([r is None for _, _, _, r in parsed])
+    r = np.array([0j if r is None else r for _, _, _, r in parsed])
+    if missing.any():
+        # NaN for a covariance with det(I + Γ) ≤ 0, which validation rejects
+        r[missing] = np.exp(_log_reference_magnitude(gamma[missing]))
+    stack = BranchStack(gamma, hat_d(alpha), alpha, r)
+    report = validate_description(stack)
+    bad = np.flatnonzero(~report.ok)
+    if bad.size:
+        j = int(bad[0])
+        raise ValidationError(
+            f"{path}.terms[{j}]: invalid description ({report.branch(j)})")
+    return stack
 
 
 def _parse_state(obj, modes: int, path: str) -> GaussianSuperposition:
@@ -203,8 +219,8 @@ def _parse_state(obj, modes: int, path: str) -> GaussianSuperposition:
             raise ValidationError(f"{path}.terms: expected a nonempty list")
         parsed = [_parse_term(t, modes, f"{path}.terms[{i}]")
                   for i, t in enumerate(terms)]
-        return GaussianSuperposition(
-            np.array([c for c, _ in parsed]), tuple(d for _, d in parsed))
+        return GaussianSuperposition(np.array([c for c, *_ in parsed]),
+                                     _term_stack(parsed, path))
     if kind == "cat":
         _check_keys(obj, {"type", "alpha", "parity"}, path)
         if modes != 1:
@@ -368,11 +384,12 @@ def emit_circuit(psi: GaussianSuperposition, spec: CircuitSpec) -> str:
 # ---------------------------------------------------------------------------
 
 def evolve(psi: GaussianSuperposition, gates: Sequence[Gate]) -> GaussianSuperposition:
-    """Apply a gate sequence branch-wise."""
-    descriptions = list(psi.descriptions)
+    """Apply a gate sequence to every branch: one stacked apply_unitary
+    call per gate on psi.branches; the coefficients are unchanged."""
+    branches = psi.branches
     for g in gates:
-        descriptions = [apply_unitary(d, g) for d in descriptions]
-    return GaussianSuperposition(psi.coeffs, tuple(descriptions))
+        branches = apply_unitary(branches, g)
+    return GaussianSuperposition(psi.coeffs, branches)
 
 
 def _require_measure(spec: CircuitSpec) -> MeasureSpec:

@@ -21,7 +21,7 @@ indices at this module's boundary and nowhere else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
 from typing import Union
 
@@ -84,11 +84,17 @@ def hat_d(alpha: np.ndarray) -> np.ndarray:
 
 
 def hat_d_inv(d: np.ndarray) -> np.ndarray:
-    """Invert hat_d: recover the complex label of a phase-space point."""
-    d = np.asarray(d, dtype=float).reshape(-1)
-    if d.size % 2:
-        raise ValidationError(f"phase-space vector length {d.size} is odd")
-    return (d[0::2] + 1j * d[1::2]) / SQRT2
+    """Invert hat_d: recover the complex label of a phase-space point.
+
+    A 1-D center maps to a 1-D label; a stack of centers (..., 2n) maps to
+    a stack of labels (..., n).
+    """
+    d = np.asarray(d, dtype=float)
+    if d.ndim < 2:
+        d = d.reshape(-1)
+    if d.shape[-1] % 2:
+        raise ValidationError(f"phase-space vector length {d.shape[-1]} is odd")
+    return (d[..., 0::2] + 1j * d[..., 1::2]) / SQRT2
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +264,11 @@ class GaussianDescription:
 
 @dataclass(frozen=True)
 class ValidityReport:
-    """Outcome of the three description checks, with defect magnitudes."""
+    """Outcome of the three description checks, with defect magnitudes.
+
+    The report of a stack of descriptions holds arrays over its leading
+    axes; branch(j) is the report of branch j alone.
+    """
 
     valid: bool
     pure: bool
@@ -268,43 +278,62 @@ class ValidityReport:
     r_defect: float
 
     @property
-    def ok(self) -> bool:
-        return self.valid and self.pure and self.r_consistent
+    def ok(self):
+        return self.valid & self.pure & self.r_consistent
+
+    def branch(self, index) -> "ValidityReport":
+        """The report of branch index of a stacked report, in Python
+        scalars; index () converts an unstacked report."""
+        return ValidityReport(*(np.asarray(getattr(self, f.name))[index].item()
+                                for f in fields(self)))
 
 
-def reference_overlap_magnitude(gamma: np.ndarray) -> float:
-    """Return |r| implied by the covariance: (2ⁿ/√det(I+Γ))^{1/2}."""
-    gamma = np.asarray(gamma, dtype=float)
-    n = gamma.shape[0] // 2
+def _log_reference_magnitude(gamma: np.ndarray) -> np.ndarray:
+    """log |r| = ½·(n·log 2 - ½·log det(I+Γ)), stacked; NaN where
+    det(I+Γ) ≤ 0, which no valid covariance has."""
+    n = gamma.shape[-1] // 2
     sign, logdet = np.linalg.slogdet(np.eye(2 * n) + gamma)
-    if sign <= 0:
+    return np.where(sign > 0, 0.5 * (n * np.log(2.0) - 0.5 * logdet), np.nan)
+
+
+def reference_overlap_magnitude(gamma: np.ndarray):
+    """Return |r| implied by the covariance: (2ⁿ/√det(I+Γ))^{1/2}.
+
+    A stack of covariances (..., 2n, 2n) gives an array of magnitudes.
+    """
+    log_magnitude = _log_reference_magnitude(np.asarray(gamma, dtype=float))
+    if np.isnan(log_magnitude).any():
         raise NumericError("det(I + Γ) must be positive for a valid covariance")
-    return np.exp(0.5 * (n * np.log(2.0) - 0.5 * logdet))
+    magnitude = np.exp(log_magnitude)
+    return float(magnitude) if magnitude.ndim == 0 else magnitude
 
 
-def validate_description(delta: GaussianDescription, tol: float = DEFAULT_TOL) -> ValidityReport:
+def validate_description(delta, tol: float = DEFAULT_TOL) -> ValidityReport:
     """Check validity, purity and reference-overlap consistency of Δ.
 
     Args:
-        delta: description to check.
+        delta: description to check, or a stack of them (anything with
+            stacked gamma, alpha and r fields, such as a BranchStack).
         tol: tolerance for all three checks.
 
     Returns:
         ValidityReport with booleans (validity: Γ + iΩ ⪰ -tol; purity:
         ‖ΓΩΓ - Ω‖_max ≤ tol; reference overlap: | |r|² - 2ⁿ/√det(I+Γ) | ≤ tol)
-        and the measured defects.
+        and the measured defects.  For a stack every field is an array
+        over its leading axes, from one stacked evaluation.  A covariance
+        with det(I+Γ) ≤ 0 is reported invalid, with a NaN r_defect.
     """
-    gamma = delta.gamma
-    n = delta.n
-    if gamma.shape != (2 * n, 2 * n):
+    gamma = np.asarray(delta.gamma, dtype=float)
+    n = np.shape(delta.alpha)[-1]
+    if gamma.shape[-2:] != (2 * n, 2 * n):
         raise ValidationError(f"covariance shape {gamma.shape} does not match n={n}")
     omega = symplectic_form(n)
     herm = gamma + 1j * omega
-    herm = 0.5 * (herm + herm.conj().T)
-    min_eig = float(np.linalg.eigvalsh(herm)[0])
-    purity_defect = float(np.max(np.abs(gamma @ omega @ gamma - omega)))
-    r_defect = float(abs(abs(delta.r) ** 2 - reference_overlap_magnitude(gamma) ** 2))
-    return ValidityReport(
+    herm = 0.5 * (herm + np.conj(np.swapaxes(herm, -1, -2)))
+    min_eig = np.linalg.eigvalsh(herm)[..., 0]
+    purity_defect = np.max(np.abs(gamma @ omega @ gamma - omega), axis=(-2, -1))
+    r_defect = np.abs(np.abs(delta.r) ** 2 - np.exp(_log_reference_magnitude(gamma)) ** 2)
+    report = ValidityReport(
         valid=min_eig >= -tol,
         pure=purity_defect <= tol,
         r_consistent=r_defect <= tol,
@@ -312,6 +341,7 @@ def validate_description(delta: GaussianDescription, tol: float = DEFAULT_TOL) -
         purity_defect=purity_defect,
         r_defect=r_defect,
     )
+    return report.branch(()) if np.ndim(min_eig) == 0 else report
 
 
 def coherent_description(alpha: np.ndarray) -> GaussianDescription:

@@ -7,6 +7,12 @@ or passive gates (they map coherent states to coherent states with no
 extra phase), but squeezing changes it nontrivially; there it is recovered
 through the anchored triple-overlap identity with the squeezed coherent
 state as the bridge.
+
+Every gate acts on a whole BranchStack per call: the branches of a
+superposition are updated together, with the gate's S and label map
+broadcast over the stack's leading axes.  A GaussianDescription is the
+stack with no leading axis and runs the same code; it comes back as a
+GaussianDescription.
 """
 
 from __future__ import annotations
@@ -16,7 +22,6 @@ import numpy as np
 from .core import (
     Beamsplitter,
     Displacement,
-    GaussianDescription,
     Gate,
     PhaseShift,
     Squeeze,
@@ -24,79 +29,92 @@ from .core import (
     gate_symplectic,
     hat_d,
 )
-from .overlaps import overlaptriple
+from .overlaps import BranchStack, _as_stack, _same_kind, overlaptriple
 
 
-def _symmetrized(gamma: np.ndarray) -> np.ndarray:
-    return 0.5 * (gamma + gamma.T)
+def _congruence(s: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """SΓSᵀ, symmetrized, for a stack of covariances Γ."""
+    g = s @ gamma @ s.T
+    return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
-def apply_displacement(delta: GaussianDescription, beta: np.ndarray) -> GaussianDescription:
+def apply_displacement(delta, beta: np.ndarray):
     """D(β): Γ is unchanged, α → α - β, and r picks up the Weyl phase.
 
-    r' = ⟨α - β, D(β)ψ⟩ = e^{i·Im(αᵀβ̄)} · r.
+    r' = ⟨α - β, D(β)ψ⟩ = e^{i·Im(αᵀβ̄)} · r.  delta is a description or a
+    BranchStack; the result is of the same kind.
     """
+    stack = _as_stack(delta)
+    n = stack.alpha.shape[-1]
     beta = np.asarray(beta, dtype=complex).reshape(-1)
-    if beta.size != delta.n:
+    if beta.size != n:
         raise ValidationError(
-            f"displacement label has {beta.size} modes, state has {delta.n}")
-    phase = complex(np.exp(1j * np.imag(delta.alpha @ np.conj(beta))))
-    return GaussianDescription(delta.gamma, delta.alpha - beta, delta.r * phase)
+            f"displacement label has {beta.size} modes, state has {n}")
+    phase = np.exp(1j * np.imag(stack.alpha @ np.conj(beta)))
+    alpha = stack.alpha - beta
+    return _same_kind(delta, BranchStack(stack.gamma, hat_d(alpha), alpha,
+                                         stack.r * phase))
 
 
-def apply_phaseshift(delta: GaussianDescription, phi: float, j: int) -> GaussianDescription:
+def apply_phaseshift(delta, phi: float, j: int):
     """Phase shift on mode j: α_j → e^{-iφ}α_j; r is unchanged."""
+    stack = _as_stack(delta)
     gate = PhaseShift(float(phi), j)
-    s, _ = gate_symplectic(gate, delta.n)
-    alpha = delta.alpha.copy()
-    alpha[j - 1] *= np.exp(-1j * gate.phi)
-    return GaussianDescription(_symmetrized(s @ delta.gamma @ s.T), alpha, delta.r)
+    s, _ = gate_symplectic(gate, stack.alpha.shape[-1])
+    alpha = stack.alpha.copy()
+    alpha[..., j - 1] *= np.exp(-1j * gate.phi)
+    return _same_kind(delta, BranchStack(_congruence(s, stack.gamma), hat_d(alpha),
+                                         alpha, stack.r))
 
 
-def apply_beamsplitter(delta: GaussianDescription, omega: float, j: int, k: int) -> GaussianDescription:
+def apply_beamsplitter(delta, omega: float, j: int, k: int):
     """Beamsplitter on modes (j, k): labels mix as α_j → α_j·cos ω - i·α_k·sin ω.
 
     The coherent-to-coherent label map carries no extra phase, so r is
     unchanged.
     """
+    stack = _as_stack(delta)
     gate = Beamsplitter(float(omega), j, k)
-    s, _ = gate_symplectic(gate, delta.n)
+    s, _ = gate_symplectic(gate, stack.alpha.shape[-1])
     c, sn = np.cos(gate.omega), np.sin(gate.omega)
-    alpha = delta.alpha.copy()
-    aj, ak = alpha[j - 1], alpha[k - 1]
-    alpha[j - 1] = c * aj - 1j * sn * ak
-    alpha[k - 1] = c * ak - 1j * sn * aj
-    return GaussianDescription(_symmetrized(s @ delta.gamma @ s.T), alpha, delta.r)
+    aj, ak = stack.alpha[..., j - 1], stack.alpha[..., k - 1]
+    alpha = stack.alpha.copy()
+    alpha[..., j - 1] = c * aj - 1j * sn * ak
+    alpha[..., k - 1] = c * ak - 1j * sn * aj
+    return _same_kind(delta, BranchStack(_congruence(s, stack.gamma), hat_d(alpha),
+                                         alpha, stack.r))
 
 
-def apply_squeeze(delta: GaussianDescription, z: float, j: int) -> GaussianDescription:
+def apply_squeeze(delta, z: float, j: int):
     """Squeeze mode j by log-factor z: α_j → α_j·cosh z - ᾱ_j·sinh z.
 
     The new reference overlap r' = ⟨α', S_j(z)ψ⟩ is recovered from the
     triple (S_j(z)|α⟩, |α'⟩, S_j(z)ψ) with no displacement: the anchors are
     ⟨S_j(z)ψ, S_j(z)|α⟩⟩ = r̄ (unitary invariance) and
     ⟨S_j(z)|α⟩, |α'⟩⟩ = 1/√cosh z (the squeezed coherent state keeps the
-    mapped center, so only the width mismatch contributes).
+    mapped center, so only the width mismatch contributes).  The triples
+    of a stack go through one stacked overlaptriple call.
     """
+    stack = _as_stack(delta)
     gate = Squeeze(float(z), j)
-    n = delta.n
+    n = stack.alpha.shape[-1]
     s, _ = gate_symplectic(gate, n)
-    gamma_new = _symmetrized(s @ delta.gamma @ s.T)
-    alpha = delta.alpha.copy()
-    alpha[j - 1] = alpha[j - 1] * np.cosh(gate.z) - np.conj(alpha[j - 1]) * np.sinh(gate.z)
+    gamma_new = _congruence(s, stack.gamma)
+    aj = stack.alpha[..., j - 1]
+    alpha = stack.alpha.copy()
+    alpha[..., j - 1] = aj * np.cosh(gate.z) - np.conj(aj) * np.sinh(gate.z)
     d_new = hat_d(alpha)
-    u = np.conj(delta.r)
-    v = 1.0 / np.sqrt(np.cosh(gate.z))
+    # S is diagonal, so SSᵀ is exactly symmetric
     r_new = overlaptriple(
-        _symmetrized(s @ s.T), d_new,
+        s @ s.T, d_new,
         np.eye(2 * n), d_new,
         gamma_new, d_new,
-        u, v, np.zeros(n, dtype=complex))
-    return GaussianDescription(gamma_new, alpha, r_new)
+        np.conj(stack.r), 1.0 / np.sqrt(np.cosh(gate.z)), np.zeros(n, dtype=complex))
+    return _same_kind(delta, BranchStack(gamma_new, d_new, alpha, r_new))
 
 
-def apply_unitary(delta: GaussianDescription, g: Gate) -> GaussianDescription:
-    """Apply any supported gate to a description."""
+def apply_unitary(delta, g: Gate):
+    """Apply any supported gate to a description or to a whole BranchStack."""
     if isinstance(g, Displacement):
         return apply_displacement(delta, g.alpha)
     if isinstance(g, PhaseShift):

@@ -15,72 +15,98 @@ Conditioning works in log space: the triple product, the anchor
 (πᵏp)^{1/2} and the density itself are carried as logs and exponentiated
 once, so the conditioned description is exact for every outcome, and a
 density below the double range reads 0.0 instead of failing.
+
+Every function here takes a GaussianDescription or a whole BranchStack.
+A stack is conditioned on one outcome in one call, its blocks, Schur
+complements and triple products stacked along its leading axes; a
+description is the stack with no leading axis and runs the same code.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import GaussianDescription, ValidationError, hat_d, hat_d_inv
-from .overlaps import _log_triple_product
+from .core import ValidationError, hat_d, hat_d_inv
+from .overlaps import (
+    BranchStack,
+    _as_stack,
+    _dot,
+    _log_triple_product,
+    _mv,
+    _same_kind,
+    _scalar_or_array,
+)
 
 
-def _measured_blocks(delta: GaussianDescription, outcome: np.ndarray):
-    """(outcome, k, (Γ_A + I)⁻¹, log p) for heterodyning the leading k modes."""
+def _measured_blocks(stack: BranchStack, outcome: np.ndarray):
+    """(outcome, k, (Γ_A + I)⁻¹, log p) for heterodyning the leading k modes,
+    the inverse and log p stacked over the stack's leading axes."""
+    n = stack.alpha.shape[-1]
     outcome = np.asarray(outcome, dtype=complex).reshape(-1)
     k = outcome.size
-    if not 1 <= k <= delta.n:
+    if not 1 <= k <= n:
         raise ValidationError(
-            f"outcome has {k} modes, state has {delta.n}; need 1 ≤ k ≤ n")
-    m = delta.gamma[: 2 * k, : 2 * k] + np.eye(2 * k)
-    minv = np.linalg.inv(m)
+            f"outcome has {k} modes, state has {n}; need 1 ≤ k ≤ n")
+    m = stack.gamma[..., : 2 * k, : 2 * k] + np.eye(2 * k)
     sign, logdet = np.linalg.slogdet(m / 2)
-    if sign <= 0:
+    if np.any(sign <= 0):
         raise ValidationError("measured covariance block is not positive definite")
-    diff = hat_d(outcome) - delta.d[: 2 * k]
-    log_p = -(diff @ minv @ diff) - 0.5 * logdet - k * np.log(np.pi)
-    return outcome, k, minv, float(log_p)
+    minv = np.linalg.inv(m)
+    diff = hat_d(outcome) - stack.d[..., : 2 * k]
+    log_p = -_dot(diff, _mv(minv, diff)) - 0.5 * logdet - k * np.log(np.pi)
+    return outcome, k, minv, log_p
 
 
-def heterodyne_density(delta: GaussianDescription, outcome: np.ndarray) -> float:
-    """Outcome density for heterodyning the leading len(outcome) modes."""
-    return float(np.exp(_measured_blocks(delta, outcome)[3]))
+def heterodyne_density(delta, outcome: np.ndarray):
+    """Outcome density for heterodyning the leading len(outcome) modes.
+
+    A float for a description, an array over the stack for a BranchStack.
+    """
+    return _scalar_or_array(np.exp(_measured_blocks(_as_stack(delta), outcome)[3]))
 
 
-def postmeasure(
-    delta: GaussianDescription, outcome: np.ndarray
-) -> tuple[GaussianDescription, float]:
+def postmeasure(delta, outcome: np.ndarray):
     """Condition the state on a heterodyne outcome for the leading modes.
 
     Args:
-        delta: the pre-measurement description.
+        delta: the pre-measurement description, or a BranchStack of them.
         outcome: coherent outcome labels β for modes 1..k.
 
     Returns:
-        (post-measurement description, outcome density p).  The measured
-        modes are left in |β⟩; the full mode count is preserved.  The
-        description is exact for every outcome; p is 0.0 when it lies
-        below the double range.
+        (post-measurement state, outcome density p): a GaussianDescription
+        and a float for a description, a BranchStack and an array of
+        densities over the stack for a BranchStack.  The measured modes are
+        left in |β⟩; the full mode count is preserved.  The state is exact
+        for every outcome; p is 0.0 when it lies below the double range.
+
+    Raises:
+        ValidationError: the outcome has no modes or more than the state,
+            or some measured block Γ_A + I is not positive definite.
     """
-    outcome, k, minv, log_p = _measured_blocks(delta, outcome)
-    n = delta.n
-    gab = delta.gamma[: 2 * k, 2 * k:]
-    gb = delta.gamma[2 * k:, 2 * k:]
-    sa, sb = delta.d[: 2 * k], delta.d[2 * k:]
-    gamma_new = np.eye(2 * n)
-    schur = gb - gab.T @ minv @ gab
-    gamma_new[2 * k:, 2 * k:] = 0.5 * (schur + schur.T)
+    stack = _as_stack(delta)
+    outcome, k, minv, log_p = _measured_blocks(stack, outcome)
+    n = stack.alpha.shape[-1]
+    gamma = stack.gamma
+    gab = gamma[..., : 2 * k, 2 * k:]
+    gba_minv = np.swapaxes(gab, -1, -2) @ minv
+    sa, sb = stack.d[..., : 2 * k], stack.d[..., 2 * k:]
+    schur = gamma[..., 2 * k:, 2 * k:] - gba_minv @ gab
+    gamma_new = np.broadcast_to(np.eye(2 * n), gamma.shape).copy()
+    gamma_new[..., 2 * k:, 2 * k:] = 0.5 * (schur + np.swapaxes(schur, -1, -2))
     db = hat_d(outcome)
-    d_new = np.concatenate([db, sb + gab.T @ minv @ (db - sa)])
+    d_new = np.concatenate([np.broadcast_to(db, sa.shape), sb + _mv(gba_minv, db - sa)],
+                           axis=-1)
     alpha_new = hat_d_inv(d_new)
     # anchors: u = ⟨α', D(α - α')ψ⟩ via the Weyl phase on r, and
     # v = ⟨ψ, ψ'⟩ = ‖Π_β ψ‖ = (πᵏ p)^{1/2} since Π_β is a projector;
     # r' = conj(T/(u·v)), divided in log space
-    log_u = 1j * np.imag(alpha_new @ np.conj(delta.alpha)) + np.log(complex(delta.r))
+    log_u = 1j * np.imag(_dot(alpha_new, np.conj(stack.alpha))) + np.log(
+        np.asarray(stack.r, dtype=complex))
     log_t = _log_triple_product(
-        delta.gamma, delta.d,
+        gamma, stack.d,
         gamma_new, d_new,
         np.eye(2 * n), d_new,
-        delta.alpha - alpha_new)
+        stack.alpha - alpha_new)
     r_new = np.conj(np.exp(log_t - log_u - 0.5 * (k * np.log(np.pi) + log_p)))
-    return GaussianDescription(gamma_new, alpha_new, complex(r_new)), float(np.exp(log_p))
+    post = BranchStack(gamma_new, hat_d(alpha_new), alpha_new, r_new)
+    return _same_kind(delta, post), _scalar_or_array(np.exp(log_p))

@@ -63,8 +63,10 @@ class BranchStack(NamedTuple):
         alpha: coherent labels of the centers, shape (..., n).
         r: reference overlaps, shape (...).
 
-    gram takes stacks with one branch axis; a single description is the
-    stack with no leading axis.
+    A superposition stores its branches as one stack with one branch axis
+    (see superposition.GaussianSuperposition); gates, conditioning and gram
+    act on the whole stack per call.  A single description is the stack
+    with no leading axis, and d is always hat_d(alpha).
     """
 
     gamma: np.ndarray
@@ -76,6 +78,20 @@ class BranchStack(NamedTuple):
         """The stack indexed along its branch axis."""
         return BranchStack(self.gamma[index], self.d[index], self.alpha[index],
                            self.r[index])
+
+
+def _as_stack(state) -> BranchStack:
+    """A description as the stack with no leading axis; a stack as itself."""
+    if isinstance(state, BranchStack):
+        return state
+    return BranchStack(state.gamma, state.d, state.alpha, state.r)
+
+
+def _same_kind(state, stack: BranchStack):
+    """stack as a GaussianDescription when state is one, else stack itself."""
+    if isinstance(state, GaussianDescription):
+        return GaussianDescription(stack.gamma, stack.alpha, stack.r)
+    return stack
 
 
 def stack_branches(descriptions: Sequence[GaussianDescription]) -> BranchStack:
@@ -101,8 +117,9 @@ def _upper_triangle(chi: int) -> tuple:
 
 
 def _scalar_or_array(x):
-    """A Python complex for an unstacked result, the array otherwise."""
-    return complex(x) if np.ndim(x) == 0 else x
+    """A Python scalar (complex or float) for an unstacked result, the
+    array otherwise."""
+    return np.asarray(x).item() if np.ndim(x) == 0 else x
 
 
 def _mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -385,5 +402,4 @@ def overlap(delta1: GaussianDescription, delta2: GaussianDescription) -> complex
     """⟨ψ(Δ₁), ψ(Δ₂)⟩, phase included: the one-pair case of gram's kernel."""
     if delta1.n != delta2.n:
         raise ValidationError("descriptions have different mode counts")
-    return _pair_overlaps(BranchStack(delta1.gamma, delta1.d, delta1.alpha, delta1.r),
-                          BranchStack(delta2.gamma, delta2.d, delta2.alpha, delta2.r))
+    return _pair_overlaps(_as_stack(delta1), _as_stack(delta2))

@@ -84,8 +84,8 @@ def gkp_comb(z: float, m: int, step: float, envelope_width: float) -> GaussianSu
                     / (2.0 * envelope_width ** 2)).astype(complex)
     tooth = _squeezed_description(z)
     descriptions = tuple(apply_displacement(tooth, [t * step]) for t in indices)
-    norm = exact_norm(GaussianSuperposition(coeffs, descriptions))
-    return GaussianSuperposition(coeffs / norm, descriptions)
+    psi = GaussianSuperposition(coeffs, descriptions)
+    return GaussianSuperposition(coeffs / exact_norm(psi), psi.branches)
 
 
 def appendix_d_state(p: float, r: float, z: float) -> GaussianSuperposition:

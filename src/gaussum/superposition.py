@@ -1,7 +1,12 @@
 """Superpositions of pure Gaussian states and their norms and densities.
 
-A superposition Ψ = Σ_j c_j ψ(Δ_j) is stored as coefficients plus one
-description per branch.  Norms come in two flavors:
+A superposition Ψ = Σ_j c_j ψ(Δ_j) is stored as its coefficients plus one
+BranchStack: the covariances, centers, labels and reference overlaps of
+all χ branches as arrays with one branch axis.  Gates, conditioning and
+the pair kernel act on the whole stack per call, so evolving, measuring
+and norming cost one call per gate, per outcome and per kernel block, not
+one per branch; the per-branch descriptions are a derived view.  Norms
+come in two flavors:
 
 * exact_norm evaluates the full χ×χ Gram matrix of branch overlaps,
   phases included: O(χ²) overlap evaluations, assembled from the upper
@@ -15,7 +20,7 @@ description per branch.  Norms come in two flavors:
   and the estimate lands within (1±ε)·‖Ψ‖² with probability at least
   1-p_fail.
 
-Sampling uses one counter-based generator per sample index, and each
+Sampling uses one counter-based stream per sample index, and each
 sample is reduced on its own, so results are bit-identical for a fixed
 seed no matter how samples are split across workers or kernel calls.
 """
@@ -32,6 +37,7 @@ import numpy as np
 
 from .core import (
     Displacement,
+    GaussianDescription,
     Gate,
     NumericError,
     Squeeze,
@@ -57,48 +63,60 @@ GRAM_FIDELITY_TOL = 1e-8
 class GaussianSuperposition:
     """Ψ = Σ_j c_j ψ(Δ_j), not necessarily normalized.
 
+    Constructed as GaussianSuperposition(coeffs, branches), where branches
+    is a BranchStack with one branch axis or a sequence of descriptions on
+    one mode count, which is stacked once here.
+
     Attributes:
-        coeffs: complex branch coefficients c_j.
-        descriptions: one Gaussian description per branch, all on the same
-            mode count.
+        coeffs: complex branch coefficients c_j, shape (χ,).
+        branches: the branches as one BranchStack of χ entries, held as
+            read-only views.
     """
 
     coeffs: np.ndarray
-    descriptions: tuple
+    branches: BranchStack
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=complex).reshape(-1)
-        descriptions = tuple(self.descriptions)
-        if coeffs.size == 0 or coeffs.size != len(descriptions):
+        branches = self.branches
+        if not isinstance(branches, BranchStack):
+            branches = stack_branches(branches)
+        # read-only views: the caller's own arrays stay writeable
+        branches = BranchStack(*(array.view() for array in branches))
+        gamma, d, alpha, r = branches
+        n = alpha.shape[-1]
+        if (coeffs.size == 0 or r.shape != coeffs.shape or alpha.shape != (coeffs.size, n)
+                or d.shape != (coeffs.size, 2 * n)
+                or gamma.shape != (coeffs.size, 2 * n, 2 * n)):
             raise ValidationError(
-                f"need matching coefficients and descriptions, got "
-                f"{coeffs.size} and {len(descriptions)}")
-        n = descriptions[0].n
-        for d in descriptions:
-            if d.n != n:
-                raise ValidationError("branches have different mode counts")
+                f"need {coeffs.size} coefficients and a stack of as many branches, got "
+                f"covariances {gamma.shape}, labels {alpha.shape}, overlaps {r.shape}")
         if not np.all(np.isfinite(coeffs)):
             raise ValidationError("coefficients must be finite")
         coeffs.flags.writeable = False
+        for array in branches:
+            array.flags.writeable = False
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "descriptions", descriptions)
+        object.__setattr__(self, "branches", branches)
 
     @property
     def n(self) -> int:
-        return self.descriptions[0].n
+        return self.branches.alpha.shape[-1]
 
     @property
     def chi(self) -> int:
         return self.coeffs.size
 
+    @cached_property
+    def descriptions(self) -> tuple:
+        """One GaussianDescription per branch, read off the stack."""
+        return tuple(GaussianDescription(gamma, alpha, r)
+                     for gamma, alpha, r in zip(self.branches.gamma, self.branches.alpha,
+                                                self.branches.r))
+
     @property
     def terms(self) -> list:
         return list(zip(self.coeffs, self.descriptions))
-
-    @cached_property
-    def branches(self) -> BranchStack:
-        """The branch descriptions stacked for the overlap kernel."""
-        return stack_branches(self.descriptions)
 
 
 def _checked_gram(psi: GaussianSuperposition) -> np.ndarray:
@@ -143,24 +161,48 @@ class FastNormParameters(NamedTuple):
 
 
 def fast_norm_parameters(energy_bound: float, epsilon: float, p_fail: float) -> FastNormParameters:
-    """R = √(E/ε) and L = ⌈E/(4π·p_fail·ε³)⌉ for the estimator's guarantee."""
+    """R = √(E/ε) and L = ⌈E/(4π·p_fail·ε³)⌉ for the estimator's guarantee.
+
+    Raises:
+        ValidationError: E or ε is not finite and positive, p_fail is not
+            in (0, 1), or E/(4π·p_fail·ε³) is not a finite positive number
+            (ε³ underflows or overflows).
+    """
+    if not (math.isfinite(energy_bound) and math.isfinite(epsilon)):
+        raise ValidationError(
+            f"need a finite energy_bound and epsilon, got {energy_bound!r} and {epsilon!r}")
     if energy_bound <= 0 or epsilon <= 0 or not 0 < p_fail < 1:
         raise ValidationError("need energy_bound > 0, epsilon > 0, 0 < p_fail < 1")
+    try:
+        count = energy_bound / (4.0 * np.pi * p_fail * epsilon ** 3)
+    except (OverflowError, ZeroDivisionError):
+        count = math.nan
+    if not (math.isfinite(count) and count > 0):
+        raise ValidationError(
+            f"sample count E/(4π·p_fail·ε³) is not a finite positive number at "
+            f"E={energy_bound!r}, ε={epsilon!r}, p_fail={p_fail!r}")
     radius = float(np.sqrt(energy_bound / epsilon))
-    samples = int(math.ceil(energy_bound / (4.0 * np.pi * p_fail * epsilon ** 3)))
-    return FastNormParameters(radius, samples)
+    return FastNormParameters(radius, int(math.ceil(count)))
 
 
 def _probe_stack(n: int, seed: int, lo: int, hi: int, radius: float) -> BranchStack:
     """The coherent probes α_ℓ, lo ≤ ℓ < hi, uniform in B_R, as one stack.
 
-    Sample ℓ draws from its own Philox stream (counter ℓ), so each probe is
-    the same whichever range it is stacked in.
+    Sample ℓ draws from its own Philox stream (key seed, counter ℓ), so
+    each probe is the same whichever range it is stacked in.  One bit
+    generator serves the range: its state is reset to counter ℓ, with an
+    empty buffer, before sample ℓ, which gives the draws of a fresh
+    Philox(key=seed, counter=ℓ) without building one per sample.
     """
-    alpha = np.stack([
-        _uniform_complex_ball(n, radius, np.random.Generator(
-            np.random.Philox(key=seed, counter=[0, 0, 0, ell])))
-        for ell in range(lo, hi)])
+    bitgen = np.random.Philox(key=seed)
+    draw = np.random.Generator(bitgen)
+    state = bitgen.state
+    counter = state["state"]["counter"]
+    alpha = np.empty((hi - lo, n), dtype=complex)
+    for i, ell in enumerate(range(lo, hi)):
+        counter[3] = ell
+        bitgen.state = state
+        alpha[i] = _uniform_complex_ball(n, radius, draw)
     eye = np.broadcast_to(np.eye(2 * n), (hi - lo, 2 * n, 2 * n))
     return BranchStack(eye, hat_d(alpha), alpha, np.ones(hi - lo, dtype=complex))
 
@@ -232,8 +274,8 @@ def post_measurement_superposition(
     """Unnormalized post-measurement superposition Σ_j c_j √(πᵏ p_j) ψ(Δ'_j).
 
     Branch weights are chosen so that ‖result‖²/πᵏ is the outcome density
-    of Ψ.  Every branch is conditioned (exactly, for any outcome; see
-    measurement.postmeasure); branch j is kept iff its new weight
+    of Ψ.  The whole branch stack is conditioned in one postmeasure call
+    (exactly, for any outcome); branch j is kept iff its new weight
     |c'_j| is at least one ulp of the largest, ε·max_k|c'_k| with ε the
     double-precision machine epsilon.  Each cross term a dropped branch
     leaves out is then at most 2ε·max_k|c'_k|², the size of the rounding
@@ -242,14 +284,11 @@ def post_measurement_superposition(
     the density reads 0.0.
     """
     outcome = np.asarray(outcome, dtype=complex).reshape(-1)
-    k = outcome.size
-    conditioned = [postmeasure(d, outcome) for d in psi.descriptions]
-    coeffs = np.array([c * np.sqrt(np.pi ** k * p)
-                       for c, (_, p) in zip(psi.coeffs, conditioned)])
+    conditioned, p = postmeasure(psi.branches, outcome)
+    coeffs = psi.coeffs * np.sqrt(np.pi ** outcome.size * p)
     magnitudes = np.abs(coeffs)
     keep = magnitudes >= np.finfo(float).eps * magnitudes.max()
-    return GaussianSuperposition(
-        coeffs[keep], tuple(d for (d, _), kept in zip(conditioned, keep) if kept))
+    return GaussianSuperposition(coeffs[keep], conditioned.take(keep))
 
 
 def measureprob_exact(psi: GaussianSuperposition, outcome: np.ndarray) -> float:
@@ -291,6 +330,8 @@ def typical_parameters(energy_bound: float, delta: float) -> TypicalParameters:
     probability δ satisfy: the outcome lies in a ball of radius √(E/δ),
     and the conditioned state has energy at most Ẽ = 2(E+1)/δ.
     """
+    if not math.isfinite(energy_bound):
+        raise ValidationError(f"need a finite energy_bound, got {energy_bound!r}")
     if energy_bound <= 0 or not 0 < delta < 1:
         raise ValidationError("need energy_bound > 0 and 0 < delta < 1")
     return TypicalParameters(2.0 * (energy_bound + 1.0) / delta,

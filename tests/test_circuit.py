@@ -9,6 +9,7 @@ import pytest
 
 from conftest import random_superposition
 
+from gaussum import circuit
 from gaussum.circuit import (
     CircuitSpec,
     MeasureSpec,
@@ -130,6 +131,55 @@ class TestParsing:
         with pytest.raises(ValidationError, match="malformed JSON"):
             parse_circuit("{")
 
+    @staticmethod
+    def _terms_doc(terms: list) -> str:
+        return json.dumps({"modes": 1, "state": {"type": "terms", "terms": terms},
+                           "gates": []})
+
+    def test_terms_validated_by_one_stacked_call(self, monkeypatch):
+        calls = []
+        check = circuit.validate_description
+
+        def counted(stack, *args):
+            calls.append(np.shape(stack.r))
+            return check(stack, *args)
+
+        monkeypatch.setattr(circuit, "validate_description", counted)
+        terms = [{"coeff": [0.5, 0.0], "alpha": [[0.1 * j, -0.2]],
+                  "gamma": [[np.exp(-0.4), 0.0], [0.0, np.exp(0.4)]]} for j in range(5)]
+        terms[3]["r"] = [0.0, float(np.sqrt(2.0 / np.sqrt(2.0 + 2.0 * np.cosh(0.4))))]
+        psi, _ = parse_circuit(self._terms_doc(terms))
+        assert calls == [(5,)], f"validation calls {calls}"
+        assert psi.chi == 5
+        assert psi.descriptions[3].r == terms[3]["r"][1] * 1j
+        expected = np.sqrt(2.0 / np.sqrt(2.0 + 2.0 * np.cosh(0.4)))
+        assert psi.descriptions[0].r == pytest.approx(expected, rel=1e-15)
+
+    def test_invalid_term_named_with_its_report(self):
+        # The third term's r has the wrong magnitude; the stacked check must
+        # still name that term and show its own ValidityReport.
+        terms = [{"coeff": [0.5, 0.0], "alpha": [[0.3 * j, 0.0]]} for j in range(4)]
+        terms[2]["r"] = [1.2, 0.0]
+        with pytest.raises(ValidationError) as info:
+            parse_circuit(self._terms_doc(terms))
+        message = str(info.value)
+        assert message.startswith("state.terms[2]: invalid description ("), message
+        assert "ValidityReport(valid=True, pure=True, r_consistent=False" in message
+        defect = float(message.rsplit("r_defect=", 1)[1].rstrip("))"))
+        assert defect == pytest.approx(1.2 ** 2 - 1.0, rel=1e-12), message
+
+    @pytest.mark.parametrize("r", [None, [1.0, 0.0]])
+    def test_covariance_without_reference_magnitude_named(self, r):
+        # det(I + Γ) < 0, so Γ fixes no |r|: the term is reported invalid
+        # by index, whether or not it gives r.
+        terms = [{"coeff": [1.0, 0.0]},
+                 {"coeff": [0.0, 0.0], "gamma": [[-3.0, 0.0], [0.0, 1.0]]}]
+        if r is not None:
+            terms[1]["r"] = r
+        with pytest.raises(ValidationError, match=r"^state\.terms\[1\]: invalid") as info:
+            parse_circuit(self._terms_doc(terms))
+        assert "valid=False" in str(info.value)
+
 
 class TestEmission:
     """Canonical serialization round-trips through the parser."""
@@ -224,7 +274,24 @@ class TestSimulateExact:
 
 
 class TestEvolve:
-    """Branch-wise circuit evolution."""
+    """Circuit evolution of the whole branch stack, one call per gate."""
+
+    @pytest.mark.parametrize("chi", [2, 64])
+    def test_one_apply_unitary_call_per_gate(self, monkeypatch, chi):
+        calls = []
+        kernel = circuit.apply_unitary
+
+        def counted(state, gate):
+            calls.append(np.shape(state.r))
+            return kernel(state, gate)
+
+        monkeypatch.setattr(circuit, "apply_unitary", counted)
+        gates = [Displacement(np.array([0.2 + 0.1j, -0.3j])), PhaseShift(0.4, 2),
+                 Beamsplitter(0.9, 1, 2), Squeeze(0.35, 1), Squeeze(-0.2, 2)]
+        psi = random_superposition(900 + chi, n=2, chi=chi, z_max=0.7)
+        out = evolve(psi, gates)
+        assert calls == [(chi,)] * len(gates), f"apply_unitary calls at χ={chi}: {calls}"
+        assert out.chi == chi
 
     def test_empty_circuit_is_identity(self):
         psi = random_superposition(911, n=1, chi=2, normalize=True)

@@ -313,6 +313,19 @@ class TestErrorReporting:
         assert out == ""
         assert json.loads(err)["error"] == "validation"
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--epsilon", "nan"), ("--epsilon", "inf"), ("--epsilon", "1e-300"),
+        ("--energy-bound", "nan"), ("--energy-bound", "inf")])
+    def test_non_finite_estimator_parameter_is_validation_error(self, tmp_path, capsys,
+                                                               flag, value):
+        path = _write(tmp_path, "vac.json", VACUUM_MEASURED)
+        code, out, err = _run(capsys, [
+            "simulate", "--circuit", path, "--method", "approx", "--seed", "1",
+            flag, value])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert json.loads(err)["error"] == "validation"
+
     def test_missing_file_is_io_error(self, tmp_path, capsys):
         path = str(tmp_path / "nonexistent.json")
         code, out, err = _run(capsys, ["simulate", "--circuit", path])

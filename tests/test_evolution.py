@@ -5,14 +5,18 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from conftest import assert_rel_close, phased_descriptions
+
 from gaussum.core import (
     Beamsplitter,
     Displacement,
     GaussianDescription,
     PhaseShift,
     Squeeze,
+    ValidationError,
     coherent_description,
     energy_of_gaussian,
+    hat_d,
     random_pure_description,
     reference_overlap_magnitude,
     symplectic_form,
@@ -27,7 +31,7 @@ from gaussum.evolution import (
     apply_unitary,
 )
 from gaussum.fock import fock_apply_gate, fock_from_description, fock_overlap
-from gaussum.overlaps import overlap
+from gaussum.overlaps import BranchStack, overlap, stack_branches
 
 
 def _random_gate(rng: np.random.Generator, n: int):
@@ -208,3 +212,55 @@ class TestInvariants:
             assert np.array_equal(via_dispatch.gamma, direct.gamma), f"{gate}"
             assert np.array_equal(via_dispatch.alpha, direct.alpha), f"{gate}"
             assert via_dispatch.r == direct.r, f"{gate}"
+
+
+def _every_gate(n: int) -> list:
+    """One gate of each kind, on the last mode where the kind allows."""
+    gates = [Displacement(np.linspace(0.3 - 0.2j, -0.1 + 0.4j, n)),
+             PhaseShift(0.7, n),
+             Squeeze(0.45, 1),
+             Squeeze(-0.3, n)]
+    if n > 1:
+        gates.append(Beamsplitter(-1.1, 2, 1))
+    return gates
+
+
+class TestStackedGates:
+    """A gate applied to a BranchStack of χ branches in one call matches the
+    gate applied to each description on its own, field by field."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_stack_matches_each_description(self, n):
+        descriptions = phased_descriptions(2024 + n, n, 11, z_max=1.0)
+        stack = stack_branches(descriptions)
+        assert np.iscomplex(stack.r).all()
+        for gate in _every_gate(n):
+            out = apply_unitary(stack, gate)
+            assert isinstance(out, BranchStack), f"{gate}"
+            singles = [apply_unitary(d, gate) for d in descriptions]
+            assert_rel_close(out.gamma, np.stack([d.gamma for d in singles]), 1e-14,
+                             f"{gate} covariances")
+            assert_rel_close(out.alpha, np.stack([d.alpha for d in singles]), 1e-14,
+                             f"{gate} labels")
+            assert np.array_equal(out.d, hat_d(out.alpha)), f"{gate} centers"
+            for j, d in enumerate(singles):
+                assert abs(out.r[j] - d.r) <= 1e-14 * abs(d.r), f"{gate} r of branch {j}"
+
+    def test_description_in_description_out(self):
+        delta = phased_descriptions(7, 2, 1)[0]
+        for gate in _every_gate(2):
+            out = apply_unitary(delta, gate)
+            assert isinstance(out, GaussianDescription), f"{gate}"
+            assert isinstance(out.r, complex), f"{gate}"
+
+    def test_stacked_chain_keeps_descriptions_valid(self):
+        stack = stack_branches(phased_descriptions(9, 2, 9))
+        for gate in _every_gate(2) * 2:
+            stack = apply_unitary(stack, gate)
+        report = validate_description(stack)
+        assert report.ok.shape == (9,) and report.ok.all(), f"{report}"
+
+    def test_wrong_displacement_size_rejected(self):
+        stack = stack_branches(phased_descriptions(3, 2, 4))
+        with pytest.raises(ValidationError):
+            apply_displacement(stack, np.array([0.1j]))

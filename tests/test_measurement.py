@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
-from conftest import complex_in_disc
+from conftest import assert_rel_close, complex_in_disc, phased_descriptions
 
 from gaussum.core import (
+    GaussianDescription,
+    ValidationError,
     coherent_description,
     random_pure_description,
     reference_overlap_magnitude,
@@ -23,7 +26,7 @@ from gaussum.fock import (
     FockVector,
 )
 from gaussum.measurement import heterodyne_density, postmeasure
-from gaussum.overlaps import overlap
+from gaussum.overlaps import BranchStack, overlap, stack_branches
 
 
 class TestHeterodyneDensity:
@@ -122,3 +125,55 @@ class TestPostmeasure:
         assert validate_description(post).ok
         assert np.allclose(post.alpha, [60.0], atol=1e-12)
         assert abs(post.r - 1.0) < 1e-12, f"r' = {post.r}"
+
+
+class TestStackedConditioning:
+    """One postmeasure call on a BranchStack against one call per branch."""
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (2, 2)])
+    def test_stack_matches_each_description(self, n, k):
+        rng = np.random.default_rng(3100 + 10 * n + k)
+        descriptions = phased_descriptions(rng, n, 13, z_max=1.0)
+        beta = np.array([complex_in_disc(rng, 1.0) for _ in range(k)])
+        post, p = postmeasure(stack_branches(descriptions), beta)
+        assert isinstance(post, BranchStack) and p.shape == (13,)
+        singles = [postmeasure(d, beta) for d in descriptions]
+        assert all(type(pj) is float for _, pj in singles)
+        assert_rel_close(post.gamma, np.stack([d.gamma for d, _ in singles]), 1e-14,
+                         "covariances")
+        assert_rel_close(post.alpha, np.stack([d.alpha for d, _ in singles]), 1e-14,
+                         "labels")
+        for j, (d, pj) in enumerate(singles):
+            assert abs(post.r[j] - d.r) <= 1e-14 * abs(d.r), f"r of branch {j}"
+            assert abs(p[j] - pj) <= 1e-14 * pj, f"p of branch {j}"
+        density = heterodyne_density(stack_branches(descriptions), beta)
+        assert_rel_close(density, np.array([pj for _, pj in singles]), 1e-14, "density")
+
+    def test_stacked_two_mode_matches_oracle(self):
+        # n = 2, k = 1: every conditioned branch of the stack, phase included,
+        # against the number-basis projection of its own input.
+        rng = np.random.default_rng(3203)
+        descriptions = phased_descriptions(rng, 2, 9, z_max=0.7, alpha_max=0.7)
+        beta = np.array([complex_in_disc(rng, 0.8)])
+        post, p = postmeasure(stack_branches(descriptions), beta)
+        for j, delta in enumerate(descriptions):
+            state = fock_from_description(delta)
+            cond, norm_sq = fock_project(state, beta)
+            assert abs(p[j] - norm_sq / np.pi) < 1e-8, f"branch {j}: p {p[j]}"
+            outcome_mode = fock_coherent(beta[0], state.dims[0]).amps
+            oracle = FockVector(np.multiply.outer(outcome_mode, cond) / np.sqrt(norm_sq))
+            mine = GaussianDescription(post.gamma[j], post.alpha[j], post.r[j])
+            value = fock_overlap(fock_from_description(mine), oracle)
+            assert abs(value - 1.0) < 1e-8, f"branch {j}: overlap {value}"
+
+    def test_invalid_measured_block_raises_like_unstacked(self):
+        # Γ_A + I = diag(-2, 2) has a negative determinant.
+        bad = GaussianDescription(np.diag([-3.0, 1.0, 1.0, 1.0]), np.zeros(2), 1.0)
+        beta = np.array([0.1 + 0.2j])
+        with pytest.raises(ValidationError) as single:
+            postmeasure(bad, beta)
+        descriptions = list(phased_descriptions(5, 2, 9))
+        descriptions[4] = bad
+        with pytest.raises(ValidationError) as stacked:
+            postmeasure(stack_branches(descriptions), beta)
+        assert str(stacked.value) == str(single.value)

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from conftest import random_superposition
+from conftest import phased_descriptions, random_superposition
+
+from gaussum import superposition
 
 from gaussum.circuit import evolve
 from gaussum.core import (
@@ -32,7 +34,7 @@ from gaussum.fock import (
     fock_heterodyne_density,
     fock_norm,
 )
-from gaussum.overlaps import GRAM_BLOCK, gram, overlap
+from gaussum.overlaps import GRAM_BLOCK, BranchStack, gram, overlap, stack_branches
 from gaussum.states import appendix_d_state, cat_state, gkp_comb
 from gaussum.superposition import (
     GaussianSuperposition,
@@ -69,6 +71,30 @@ class TestContainer:
         with pytest.raises(ValidationError):
             GaussianSuperposition(np.array([1.0 + 0j, 1.0 + 0j]),
                                   (vacuum_description(1), vacuum_description(2)))
+
+    def test_stored_as_one_read_only_stack(self):
+        descriptions = phased_descriptions(41, 2, 5)
+        psi = GaussianSuperposition(np.ones(5), descriptions)
+        assert isinstance(psi.branches, BranchStack)
+        assert psi.branches.gamma.shape == (5, 4, 4) and psi.n == 2 and psi.chi == 5
+        for array in psi.branches:
+            assert not array.flags.writeable
+        for view, original in zip(psi.descriptions, descriptions):
+            assert np.array_equal(view.gamma, original.gamma)
+            assert np.array_equal(view.alpha, original.alpha)
+            assert view.r == original.r
+        assert [c for c, _ in psi.terms] == list(psi.coeffs)
+
+    def test_built_from_a_stack(self):
+        stack = stack_branches(phased_descriptions(43, 1, 3))
+        psi = GaussianSuperposition(np.ones(3), stack)
+        for held, given in zip(psi.branches, stack):
+            assert np.shares_memory(held, given) and np.array_equal(held, given)
+            assert given.flags.writeable and not held.flags.writeable
+        with pytest.raises(ValidationError):
+            GaussianSuperposition(np.ones(2), stack)
+        with pytest.raises(ValidationError):
+            GaussianSuperposition(np.ones(1), stack.take(0))
 
 
 class TestExactNorm:
@@ -135,6 +161,14 @@ class TestFastNormParameters:
             with pytest.raises(ValidationError):
                 fast_norm_parameters(*args)
 
+    @pytest.mark.parametrize("energy, epsilon", [
+        (2.0, float("nan")), (2.0, float("inf")), (2.0, 1e-300),
+        (float("nan"), 0.5), (float("inf"), 0.5)])
+    def test_non_finite_parameters_rejected(self, energy, epsilon):
+        # ε = 1e-300 is finite, but ε³ underflows and L would be infinite
+        with pytest.raises(ValidationError):
+            fast_norm_parameters(energy, epsilon, 0.25)
+
 
 class TestFastNorm:
     """Randomized squared-norm estimates under the accuracy guarantee."""
@@ -188,6 +222,22 @@ class TestFastNorm:
         with pytest.raises(ValidationError):
             fast_norm(psi, 0.2, 0.25, 4.0, 1, workers=workers)
 
+    def test_probe_labels_match_fresh_generators_across_runs(self):
+        # One bit generator per run, reset per sample, must draw what a
+        # fresh Philox(key=seed, counter=ℓ) draws, wherever a run starts.
+        seed, radius, n = 2 ** 61 + 12345, 3.5, 2
+        reference = np.stack([
+            _uniform_complex_ball(n, radius, np.random.Generator(
+                np.random.Philox(key=seed, counter=[0, 0, 0, ell])))
+            for ell in range(40)])
+        for bounds in ([0, 40], [0, 1, 17, 40], [0, 13, 14, 39, 40]):
+            runs = [superposition._probe_stack(n, seed, lo, hi, radius)
+                    for lo, hi in zip(bounds[:-1], bounds[1:])]
+            labels = np.concatenate([run.alpha for run in runs])
+            assert np.array_equal(labels, reference), f"runs split at {bounds}"
+            assert np.array_equal(np.concatenate([run.d for run in runs]),
+                                  hat_d(reference))
+
     def test_stacked_probes_match_per_branch_loop(self):
         # n = 2, χ = 17 squeezed branches with complex reference overlaps and
         # L = 48, so the L·χ = 816 probe pairs cross a GRAM_BLOCK boundary.
@@ -220,7 +270,22 @@ class TestFastNorm:
 
 
 class TestPostMeasurement:
-    """Branch-wise conditioning and the relative rule for dropping branches."""
+    """Stacked conditioning and the relative rule for dropping branches."""
+
+    @pytest.mark.parametrize("chi", [2, 64])
+    def test_one_postmeasure_call_per_outcome(self, monkeypatch, chi):
+        calls = []
+        kernel = superposition.postmeasure
+
+        def counted(state, outcome):
+            calls.append(np.shape(state.r))
+            return kernel(state, outcome)
+
+        monkeypatch.setattr(superposition, "postmeasure", counted)
+        psi = random_superposition(500 + chi, n=2, chi=chi, z_max=0.8, alpha_max=0.8)
+        post = post_measurement_superposition(psi, np.array([0.1 + 0.2j]))
+        assert calls == [(chi,)], f"postmeasure calls at χ={chi}: {calls}"
+        assert post.chi == chi
 
     def test_two_mode_vacuum_at_origin(self):
         psi = GaussianSuperposition(np.array([1.0 + 0j]), (vacuum_description(2),))
@@ -346,7 +411,8 @@ class TestTypicalParameters:
         assert params.radius == pytest.approx(np.sqrt(5.0), rel=1e-9)
 
     def test_domain_errors(self):
-        for args in [(0.0, 0.5), (2.0, 0.0), (2.0, 1.0)]:
+        for args in [(0.0, 0.5), (2.0, 0.0), (2.0, 1.0), (float("nan"), 0.5),
+                     (float("inf"), 0.5), (2.0, float("nan"))]:
             with pytest.raises(ValidationError):
                 typical_parameters(*args)
 
