@@ -9,22 +9,39 @@ T is computable from the covariance matrices and centers alone, because
 every unknown global phase appears once as a bra and once as a ket and
 cancels.  Dividing T by two known anchor overlaps then recovers the third
 overlap, phase included; this is how descriptions propagate their
-reference overlap r = ⟨α, ψ⟩ through squeezing and measurement, and how
-pairwise superposition overlaps are evaluated.
+reference overlap r = ⟨α, ψ⟩ through squeezing and measurement.
 
-The triple product and the determinant root accept stacks of inputs along
-leading axes, broadcast like numpy's batched linear algebra, so a whole
-Gram matrix or a cross-circuit overlap matrix comes from a few stacked
-calls (see gram); a single pair or triple is the unstacked case of the
-same code.
+Pairwise overlaps ⟨ψ_a, ψ_b⟩ (gram, its cross form, estimator probes,
+energy_gram) are the triple (|α_a⟩, ψ_a, ψ_b) with Γ₁ = I, split in two
+stages.  Everything but the two centers depends on the covariance pair
+alone, so the covariance stage (_covariance_stage) runs once per pair of
+covariances and returns a complex symmetric Q and a log-constant; the
+center stage (_pair_overlaps) runs per pair of branches:
+
+    log⟨ψ_a, ψ_b⟩ = log-constant − δᵀQδ − i·Im(α_a·ᾱ_b) − log(r̄_b·r_a),
+    δ = d_a − d_b.
+
+A stack whose covariances are all equal enters the kernel with one
+covariance (see gram), so coherent chains, cats and probes pay for one
+covariance stage per kernel call; a stack with one covariance per branch
+runs the same code with one covariance stage per pair.
+
+The triple product, the stages and the determinant root accept stacks of
+inputs along leading axes, broadcast like numpy's batched linear algebra;
+a single pair or triple is the unstacked case of the same code.
 
 Complex square roots of determinants need a branch.  Every matrix whose
-root is taken is complex symmetric, M = A + iB with A, B real and A ≻ 0.
-For an eigenpair Mx = λx, xᴴMx = xᴴAx + i·xᴴBx with both quadratic forms
-real, so Re λ = xᴴAx/‖x‖² > 0.  The same holds at every point of the path
-M(t) = A + itB, t ∈ [0, 1]: no eigenvalue crosses the cut of the principal
-logarithm, and Σᵢ Log λᵢ is the continuous continuation of log det A.
-The tracked root is therefore exp(½·Σᵢ Log λᵢ), in closed form.
+root is taken is complex symmetric, M = A + iB with A, B real and A ≻ 0,
+so Re(xᴴMx) = xᴴAx > 0 for every x ≠ 0.  Unpivoted Gaussian elimination
+keeps this property: the Schur complement S = M₂₂ − m₂₁m₁₂/m₁₁ satisfies
+yᴴSy = xᴴMx for x = (−m₁₂y/m₁₁, y), so its Hermitian part is positive
+definite too, and by induction every pivot has a positive real part.
+The same holds at every point of the path M(t) = A + itB, t ∈ [0, 1]: the
+pivots move continuously without crossing the cut of the principal
+logarithm, and Σₖ Log pₖ is the continuous continuation of log det A.
+The tracked root is therefore exp(½·Σₖ Log pₖ), in closed form (the
+stability of elimination without pivoting for matrices with a positive
+definite symmetric part is in Golub & Van Loan, Matrix Computations).
 
 The kernel itself works in log space (_log_triple_product): the triple
 product's exponent minus the two log-roots.  Public values exponentiate it,
@@ -66,7 +83,9 @@ class BranchStack(NamedTuple):
     A superposition stores its branches as one stack with one branch axis
     (see superposition.GaussianSuperposition); gates, conditioning and gram
     act on the whole stack per call.  A single description is the stack
-    with no leading axis, and d is always hat_d(alpha).
+    with no leading axis, and d is always hat_d(alpha).  Where the pair
+    kernel is entered, a covariance axis of length 1 is shared by every
+    entry of the stack (see _shared).
     """
 
     gamma: np.ndarray
@@ -75,9 +94,10 @@ class BranchStack(NamedTuple):
     r: np.ndarray
 
     def take(self, index) -> "BranchStack":
-        """The stack indexed along its branch axis."""
-        return BranchStack(self.gamma[index], self.d[index], self.alpha[index],
-                           self.r[index])
+        """The stack indexed along its branch axis; a covariance axis of
+        length 1 is shared by every entry and kept as it is."""
+        gamma = self.gamma if len(self.gamma) == 1 else self.gamma[index]
+        return BranchStack(gamma, self.d[index], self.alpha[index], self.r[index])
 
 
 def _as_stack(state) -> BranchStack:
@@ -91,6 +111,18 @@ def _same_kind(state, stack: BranchStack):
     """stack as a GaussianDescription when state is one, else stack itself."""
     if isinstance(state, GaussianDescription):
         return GaussianDescription(stack.gamma, stack.alpha, stack.r)
+    return stack
+
+
+def _shared(stack: BranchStack) -> BranchStack:
+    """stack with its covariances as one entry when they are all equal.
+
+    The test is O(χ·4n²); a shared covariance makes the pair kernel run
+    its covariance stage once per call instead of once per pair.
+    """
+    gamma = stack.gamma
+    if len(gamma) > 1 and (gamma == gamma[0]).all():
+        return stack._replace(gamma=gamma[:1])
     return stack
 
 
@@ -116,6 +148,15 @@ def _upper_triangle(chi: int) -> tuple:
     return k, j
 
 
+@lru_cache(maxsize=8)
+def _cross_indices(chi_a: int, chi_b: int) -> tuple:
+    """Read-only index arrays (k, j) of all χ_a·χ_b pairs, row by row."""
+    k, j = np.indices((chi_a, chi_b)).reshape(2, -1)
+    k.flags.writeable = False
+    j.flags.writeable = False
+    return k, j
+
+
 def _scalar_or_array(x):
     """A Python scalar (complex or float) for an unstacked result, the
     array otherwise."""
@@ -132,6 +173,11 @@ def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (u * v).sum(axis=-1)
 
 
+def _quadratic(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Stacked quadratic form vᵀMv; a single M broadcasts over every v."""
+    return np.einsum("...i,...ij,...j->...", v, m, v)
+
+
 def coherent_overlap(a: np.ndarray, b: np.ndarray) -> complex:
     """⟨a, b⟩ for coherent states, antilinear in the first argument."""
     a = np.asarray(a, dtype=complex).reshape(-1)
@@ -144,15 +190,21 @@ def coherent_overlap(a: np.ndarray, b: np.ndarray) -> complex:
 
 def _fidelity(gamma1: np.ndarray, d1: np.ndarray,
               gamma2: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """Stacked 2ⁿ · exp(-δᵀ(Γ₁+Γ₂)⁻¹δ) / √det(Γ₁+Γ₂) with δ = d₁ - d₂."""
+    """Stacked 2ⁿ · exp(-δᵀ(Γ₁+Γ₂)⁻¹δ) / √det(Γ₁+Γ₂) with δ = d₁ - d₂.
+
+    Split like the pair kernel, with a stage of its own: slogdet and
+    inverse of Γ₁+Γ₂ once per covariance pair, then one quadratic form per
+    pair of centers.  It shares no intermediate with the overlap, so it
+    stays an independent check on it.
+    """
     n = np.shape(gamma1)[-1] // 2
     total = gamma1 + gamma2
-    diff = d1 - d2
     sign, logdet = np.linalg.slogdet(total)
     if np.any(sign <= 0):
         raise ValidationError("covariance sum is not positive definite")
-    expo = n * np.log(2.0) - _dot(diff, np.linalg.solve(total, diff[..., None])[..., 0])
-    return np.exp(expo - 0.5 * logdet)
+    diff = d1 - d2
+    return np.exp(n * np.log(2.0) - 0.5 * logdet
+                  - _quadratic(np.linalg.inv(total), diff))
 
 
 def pair_fidelity(delta1: GaussianDescription, delta2: GaussianDescription) -> float:
@@ -180,17 +232,33 @@ def _log_sqrt_det(m: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError:
         raise BranchPathError("real part of the matrix is not positive definite") from None
     if np.iscomplexobj(m) and m.imag.any():
-        return 0.5 * np.log(np.linalg.eigvals(m)).sum(axis=-1)
+        return 0.5 * _log_pivot_sum(m)
     return np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1).astype(complex)
+
+
+def _log_pivot_sum(m: np.ndarray) -> np.ndarray:
+    """Σₖ Log pₖ over the pivots of unpivoted elimination on a stack of M.
+
+    For M with a positive definite Hermitian part every pivot has a
+    positive real part (see the module docstring).
+    """
+    m = np.array(m, dtype=complex)
+    total = np.zeros(m.shape[:-2], dtype=complex)
+    for p in range(m.shape[-1]):
+        pivot = m[..., p, p]
+        total += np.log(pivot)
+        m[..., p + 1:, p + 1:] -= m[..., p + 1:, p:p + 1] * (
+            m[..., p:p + 1, p + 1:] / pivot[..., None, None])
+    return total
 
 
 def branched_sqrt_det(m: np.ndarray):
     """√det(M) on the branch reached continuously from the real part of M.
 
-    For complex symmetric M = A + iB with A ≻ 0 every eigenvalue has a
-    positive real part along the whole path A + itB (see the module
-    docstring), so the root is exp(½·Σᵢ Log λᵢ); for real M it is the
-    positive root, read off the Cholesky factor of A.
+    For complex symmetric M = A + iB with A ≻ 0 every pivot of unpivoted
+    elimination has a positive real part along the whole path A + itB (see
+    the module docstring), so the root is exp(½·Σₖ Log pₖ); for real M it
+    is the positive root, read off the Cholesky factor of A.
 
     Args:
         m: complex symmetric matrix whose real part is positive definite,
@@ -304,36 +372,84 @@ def overlaptriple(
     return _scalar_or_array(value)
 
 
+@lru_cache(maxsize=None)
+def _stage_constants(dim: int) -> tuple:
+    """Read-only (I, iΩ, ½(I − iΩ), ¼I) of the covariance stage in 2n = dim."""
+    eye = np.eye(dim)
+    iom = 1j * symplectic_form(dim // 2)
+    constants = (eye, iom, 0.5 * (eye - iom), 0.25 * eye)
+    for array in constants:
+        array.flags.writeable = False
+    return constants
+
+
+def _covariance_stage(gamma_a: np.ndarray, gamma_b: np.ndarray) -> tuple:
+    """(Q, log-constant) of ⟨ψ_a, ψ_b⟩ for broadcast-compatible (Γ_a, Γ_b).
+
+    The triple (|α_a⟩, ψ_a, ψ_b) of _triple_exponent with Γ₁ = I and
+    ξ = Ωδ, δ = d_a − d_b, has the exponent −δᵀQδ plus a phase, with
+
+        x = (Γ_a+Γ_b)⁻¹,  s14 = I + Γ_b − (Γ_b+iΩ)x(Γ_b−iΩ),
+        K = I − (Γ_b+iΩ)x − ½i(I+iΩ)Ω = ½(I − iΩ) − (Γ_b+iΩ)x,
+        Q = x + ¼I + Kᵀs14⁻¹K,
+
+    and the log-constant −log√det((Γ_a+Γ_b)/2) − log√det(s14/2).  Q is
+    complex symmetric.  The result is stacked over the broadcast leading
+    axes of the two covariances, not over any centers.
+    """
+    dim = gamma_a.shape[-1]
+    eye, iom, half_k, quarter = _stage_constants(dim)
+    s23 = gamma_a + gamma_b
+    x = np.linalg.inv(s23)
+    gbx = (gamma_b + iom) @ x
+    s14 = eye + gamma_b - gbx @ (gamma_b - iom)
+    k = half_k - gbx
+    q = x + quarter + np.swapaxes(k, -1, -2) @ np.linalg.solve(s14, k)
+    return q, -_log_sqrt_det(s23 / 2) - _log_sqrt_det(s14 / 2)
+
+
 def _pair_overlaps(a: BranchStack, b: BranchStack) -> np.ndarray:
     """⟨ψ_a, ψ_b⟩ over two broadcast-compatible stacks.
 
-    Uses the triple (|α_a⟩, ψ_a, ψ_b) with displacement λ = α_a - α_b:
-    both anchor overlaps are then known from the reference overlaps r_a,
-    r_b and a Weyl phase, and the remaining factor is the wanted one.
+    The covariance stage runs on (a.gamma, b.gamma), once per covariance
+    pair; the center stage is, per pair,
+
+        log G = log-constant − δᵀQδ − i·Im(α_a·ᾱ_b) − log(r̄_b·r_a).
+
+    The triple's phase −i·δᵀΩᵀd_a and the anchor's Weyl phase
+    +i·Im(α_a·ᾱ_b) sum to −i·Im(α_a·ᾱ_b) since d = d̂(α).
+
+    Raises:
+        PhaseRecoveryError: a reference overlap is zero.
     """
-    u = np.exp(-1j * (a.alpha * b.alpha.conj()).imag.sum(axis=-1)) * np.conj(b.r)
-    return overlaptriple(np.eye(a.gamma.shape[-1]), a.d, a.gamma, a.d, b.gamma, b.d,
-                         u, a.r, a.alpha - b.alpha)
+    q, log_c = _covariance_stage(a.gamma, b.gamma)
+    delta = a.d - b.d
+    log_g = (log_c - _quadratic(q, delta)
+             - 1j * (a.alpha * b.alpha.conj()).imag.sum(axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        value = np.exp(log_g - np.log(np.conj(b.r) * a.r))
+    if not np.all(np.isfinite(value)):
+        raise PhaseRecoveryError("a reference overlap is zero; no phase to recover")
+    return value
 
 
 def _pair_energy_factors(a: BranchStack, b: BranchStack) -> np.ndarray:
     """⟨ψ_a|H|ψ_b⟩ / ⟨ψ_a, ψ_b⟩ over two broadcast-compatible stacks.
 
-    H = Σ_m (Q_m² + P_m² + 1).  With ξ = Ωd̂(λ), D(λ) = exp(iξᵀR), so
-    F(ξ) = ⟨ψ_a, D(λ)ψ_b⟩ has ⟨ψ_a|Σ_m R_m²|ψ_b⟩ = −tr ∇²F(0).  F is the
-    triple product of (ψ_b, ψ_b, ψ_a) divided by ⟨ψ_b, ψ_a⟩, a constant, so
-    F = G·e^φ with G = ⟨ψ_a, ψ_b⟩ and φ(ξ) the triple exponent minus its
-    value at 0.  The factor n − tr ∇²φ − ∇φᵀ∇φ at ξ = 0 then reads off the
-    exponent's coefficients (see _triple_exponent) as
+    H = Σ_m (Q_m² + P_m² + 1) = n + RᵀR.  With D(β) = exp(iξᵀR), ξ = Ωd̂(β)
+    up to sign, F(η) = ⟨ψ_a, D(β)ψ_b⟩ at η = d̂(β) has ⟨ψ_a|RᵀR|ψ_b⟩ =
+    −tr ∇²F(0).  D(β)ψ_b is the description (Γ_b, α_b − β, r_b·e^{i·Im(α_b β̄)}),
+    so by the center stage of _pair_overlaps F = G·e^φ with
 
-        n + ½·tr Γ_b − ½·tr(g1pᵀ s14⁻¹ g1p) + eᵀe,  e = d_b − g1pᵀ s14⁻¹ f0.
+        φ(η) = −2δᵀQη − ηᵀQη − ½i·(d_a + d_b)ᵀΩη,
+
+    Q from the same covariance stage.  The factor n − tr ∇²φ − ∇φᵀ∇φ at
+    η = 0 is then n + 2·tr Q − gᵀg with g = −2Qδ + ½i·Ω(d_a + d_b).
     """
-    n = a.gamma.shape[-1] // 2
-    _, f0, g1p, _, s14 = _triple_exponent(b.gamma, b.d, b.gamma, b.d, a.gamma, a.d)
-    w = np.linalg.solve(s14, np.concatenate([g1p, f0[..., None]], axis=-1))
-    e = b.d - _mv(np.swapaxes(g1p, -1, -2), w[..., -1])
-    return (n + 0.5 * np.trace(b.gamma, axis1=-2, axis2=-1)
-            - 0.5 * (g1p * w[..., :-1]).sum(axis=(-2, -1)) + _dot(e, e))
+    dim = a.d.shape[-1]
+    q, _ = _covariance_stage(a.gamma, b.gamma)
+    g = -2.0 * _mv(q, a.d - b.d) + 0.5j * ((a.d + b.d) @ symplectic_form(dim // 2).T)
+    return dim // 2 + 2.0 * np.trace(q, axis1=-2, axis2=-1) - _dot(g, g)
 
 
 def _blocked(kernel, a: BranchStack, k: np.ndarray,
@@ -349,17 +465,19 @@ def _blocked(kernel, a: BranchStack, k: np.ndarray,
 def gram(psi_a: BranchStack, psi_b: Optional[BranchStack] = None) -> np.ndarray:
     """Matrix of branch overlaps G_kj = ⟨ψ_a,k, ψ_b,j⟩, phases included.
 
-    The pairs are evaluated by the stacked triple product, GRAM_BLOCK
-    pairs per call.  Without psi_b this is the Gram matrix of psi_a: only
-    the upper triangle k < j is evaluated, the lower triangle is its
-    conjugate and the diagonal is 1, since every branch state is
-    normalized.
+    The pairs are evaluated by the two-stage pair kernel, GRAM_BLOCK pairs
+    per call; a stack whose covariances are all equal enters it with one
+    covariance, so its covariance stage runs once per call.  Without psi_b
+    this is the Gram matrix of psi_a: only the upper triangle k < j is
+    evaluated, the lower triangle is its conjugate and the diagonal is 1,
+    since every branch state is normalized.
 
     Raises:
         ValidationError: the two stacks have different mode counts.
         PhaseRecoveryError: a reference overlap is zero.
     """
     chi_a = psi_a.r.size
+    psi_a = _shared(psi_a)
     if psi_b is None:
         k, j = _upper_triangle(chi_a)
         g = np.eye(chi_a, dtype=complex)
@@ -368,21 +486,24 @@ def gram(psi_a: BranchStack, psi_b: Optional[BranchStack] = None) -> np.ndarray:
         return g
     if psi_a.gamma.shape[-1] != psi_b.gamma.shape[-1]:
         raise ValidationError("descriptions have different mode counts")
-    k, j = np.indices((chi_a, psi_b.r.size)).reshape(2, -1)
-    return _blocked(_pair_overlaps, psi_a, k, psi_b, j).reshape(chi_a, psi_b.r.size)
+    k, j = _cross_indices(chi_a, psi_b.r.size)
+    return _blocked(_pair_overlaps, psi_a, k, _shared(psi_b), j).reshape(
+        chi_a, psi_b.r.size)
 
 
 def energy_gram(psi: BranchStack, g: np.ndarray) -> np.ndarray:
     """Matrix H_kj = ⟨ψ_k|H|ψ_j⟩ of H = Σ_m(Q_m² + P_m² + 1) over psi's branches.
 
     g is gram(psi).  The pairs k < j are g_kj times a closed-form factor
-    read off the triple product's exponent (see _pair_energy_factors),
-    GRAM_BLOCK pairs per call; the lower triangle is their conjugate and
-    the diagonal holds the branch energies ½·tr Γ + dᵀd + n.
+    read off the pair kernel's covariance stage (see _pair_energy_factors),
+    GRAM_BLOCK pairs per call, with covariances shared as in gram; the
+    lower triangle is their conjugate and the diagonal holds the branch
+    energies ½·tr Γ + dᵀd + n.
     """
     k, j = _upper_triangle(psi.r.size)
     h = np.diag(energy_of_gaussian(psi.gamma, psi.d)).astype(complex)
-    h[k, j] = g[k, j] * _blocked(_pair_energy_factors, psi, k, psi, j)
+    shared = _shared(psi)
+    h[k, j] = g[k, j] * _blocked(_pair_energy_factors, shared, k, shared, j)
     h[j, k] = np.conj(h[k, j])
     return h
 
@@ -391,10 +512,14 @@ def gram_defect(psi: BranchStack, g: np.ndarray) -> float:
     """Largest | |G_kj|² - pair_fidelity(ψ_k, ψ_j) | over the pairs k < j.
 
     The fidelity needs no phase data, so this checks every overlap gram
-    computed for psi against an independent closed form.
+    computed for psi against an independent closed form.  Covariances are
+    shared as in gram, so a stack with one covariance takes one slogdet
+    and one inverse.
     """
     k, j = _upper_triangle(psi.r.size)
-    f = _fidelity(psi.gamma[k], psi.d[k], psi.gamma[j], psi.d[j])
+    gamma = _shared(psi).gamma
+    gamma_k, gamma_j = (gamma, gamma) if len(gamma) == 1 else (gamma[k], gamma[j])
+    f = _fidelity(gamma_k, psi.d[k], gamma_j, psi.d[j])
     return float(np.max(np.abs(np.abs(g[k, j]) ** 2 - f), initial=0.0))
 
 
@@ -402,4 +527,4 @@ def overlap(delta1: GaussianDescription, delta2: GaussianDescription) -> complex
     """⟨ψ(Δ₁), ψ(Δ₂)⟩, phase included: the one-pair case of gram's kernel."""
     if delta1.n != delta2.n:
         raise ValidationError("descriptions have different mode counts")
-    return _pair_overlaps(_as_stack(delta1), _as_stack(delta2))
+    return _scalar_or_array(_pair_overlaps(_as_stack(delta1), _as_stack(delta2)))

@@ -192,7 +192,9 @@ def _probe_stack(n: int, seed: int, lo: int, hi: int, radius: float) -> BranchSt
     each probe is the same whichever range it is stacked in.  One bit
     generator serves the range: its state is reset to counter ℓ, with an
     empty buffer, before sample ℓ, which gives the draws of a fresh
-    Philox(key=seed, counter=ℓ) without building one per sample.
+    Philox(key=seed, counter=ℓ) without building one per sample.  The
+    stack holds the probes' common covariance Γ = I once (see
+    overlaps.BranchStack.take).
     """
     bitgen = np.random.Philox(key=seed)
     draw = np.random.Generator(bitgen)
@@ -203,8 +205,8 @@ def _probe_stack(n: int, seed: int, lo: int, hi: int, radius: float) -> BranchSt
         counter[3] = ell
         bitgen.state = state
         alpha[i] = _uniform_complex_ball(n, radius, draw)
-    eye = np.broadcast_to(np.eye(2 * n), (hi - lo, 2 * n, 2 * n))
-    return BranchStack(eye, hat_d(alpha), alpha, np.ones(hi - lo, dtype=complex))
+    return BranchStack(np.eye(2 * n)[None], hat_d(alpha), alpha,
+                       np.ones(hi - lo, dtype=complex))
 
 
 def fast_norm(psi: GaussianSuperposition, epsilon: float, p_fail: float,
@@ -213,9 +215,10 @@ def fast_norm(psi: GaussianSuperposition, epsilon: float, p_fail: float,
 
     Sample ℓ is X_ℓ = w·|Σ_j c_j ⟨α_ℓ, ψ_j⟩|² with α_ℓ uniform in the ball
     B_R and w = R²ⁿ/n!; the estimate is the mean of the L samples.  The
-    amplitudes ⟨α_ℓ, ψ_j⟩ of a run of samples come from one cross-form
-    gram call of the probes against psi.branches, at most GRAM_BLOCK pairs
-    (or one row) per call, so the working memory does not grow with L.
+    probes are drawn GRAM_BLOCK at a time, and the amplitudes ⟨α_ℓ, ψ_j⟩
+    of a run of them come from one cross-form gram call against
+    psi.branches, at most GRAM_BLOCK pairs (or one row) per call, so the
+    working memory does not grow with L.
     Each row is reduced on its own, with an elementwise sum rather than a
     matrix product, so X_ℓ does not depend on the samples it shares a call
     with.
@@ -249,10 +252,14 @@ def fast_norm(psi: GaussianSuperposition, epsilon: float, p_fail: float,
     values = np.empty(samples, dtype=float)
 
     def fill(lo: int, hi: int) -> None:
-        for start in range(lo, hi, rows):
-            stop = min(start + rows, hi)
-            g = gram(_probe_stack(psi.n, int(seed), start, stop, radius), psi.branches)
-            values[start:stop] = weight * np.abs((g * psi.coeffs).sum(axis=1)) ** 2
+        # probes are drawn GRAM_BLOCK at a time and evaluated `rows` per call
+        for chunk in range(lo, hi, GRAM_BLOCK):
+            probes = _probe_stack(psi.n, int(seed), chunk, min(chunk + GRAM_BLOCK, hi),
+                                  radius)
+            for start in range(0, probes.r.size, rows):
+                g = gram(probes.take(slice(start, start + rows)), psi.branches)
+                values[chunk + start:chunk + start + len(g)] = weight * np.abs(
+                    (g * psi.coeffs).sum(axis=1)) ** 2
 
     workers = int(workers)
     if workers == 1 or samples < 2 * workers:
@@ -371,12 +378,21 @@ def superposition_energy_exact(psi: GaussianSuperposition) -> float:
     Exact for every mode count, in closed form: ⟨Ψ|H|Ψ⟩ = Σ_kj c̄_k c_j H_kj
     over the branch energy matrix (see overlaps.energy_gram), divided by
     ‖Ψ‖² = Σ_kj c̄_k c_j G_kj.  Each off-diagonal H_kj comes from the same
-    stacked triple-product exponent as the Gram entry G_kj; the diagonal
-    holds the branch energies ½·tr Γ + dᵀd + n.
+    covariance stage of the pair kernel as the Gram entry G_kj; the
+    diagonal holds the branch energies ½·tr Γ + dᵀd + n.
 
     Raises:
+        ValidationError: ‖Ψ‖² does not exceed the rounding bound of its
+            own χ²-term sum, 4χ²·ε·Σ_kj |c_k c_j G_kj| with ε the machine
+            epsilon, so Ψ is zero to double precision and has no ⟨H⟩.
         NumericError: a Gram entry misses its pair fidelity (see exact_norm).
     """
     g = _checked_gram(psi)
-    return _quadratic_form(psi.coeffs, energy_gram(psi.branches, g)) / _quadratic_form(
-        psi.coeffs, g)
+    norm_sq = _quadratic_form(psi.coeffs, g)
+    floor = 4 * psi.chi ** 2 * np.finfo(float).eps * _quadratic_form(
+        np.abs(psi.coeffs), np.abs(g))
+    if not norm_sq > floor:
+        raise ValidationError(
+            f"the superposition has ‖Ψ‖² = {norm_sq:.3e}, within the rounding "
+            f"{floor:.1e} of its Gram sum: it is zero and has no energy")
+    return _quadratic_form(psi.coeffs, energy_gram(psi.branches, g)) / norm_sq

@@ -261,11 +261,11 @@ def test_criterion_09_bright_branch_variance_limit():
 
 def test_criterion_10_runtime_scaling(monkeypatch):
     """Runtime of exact_norm scales as χ² (log-log slope 2.0 ± 0.3) over
-    χ ∈ {16, ..., 512} and of fast_norm at fixed (ε, p_fail, E) as χ
+    χ ∈ {32, ..., 1024} and of fast_norm at fixed (ε, p_fail, E) as χ
     (slope 1.0 ± 0.3) over χ ∈ {256, ..., 8192}, all within a 5-minute
-    budget.  The estimator's range starts where its L·χ pair evaluations,
-    not its fixed cost per call, dominate.  Counted exactly, exact_norm
-    evaluates χ(χ-1)/2 pairs and fast_norm L·χ."""
+    budget.  Each range starts where the pair evaluations, not the fixed
+    cost per call, dominate.  Counted exactly, exact_norm evaluates
+    χ(χ-1)/2 pairs and fast_norm L·χ."""
     def chain(chi: int, seed: int) -> GaussianSuperposition:
         gen = np.random.default_rng(seed)
         x = gen.standard_normal((chi, 2))
@@ -275,7 +275,7 @@ def test_criterion_10_runtime_scaling(monkeypatch):
             coeffs, tuple(coherent_description(np.array([a])) for a in labels))
 
     start = time.perf_counter()
-    exact_chis = [16, 32, 64, 128, 256, 512]
+    exact_chis = [32, 64, 128, 256, 512, 1024]
     fast_chis = [256, 512, 1024, 2048, 4096, 8192]
     states = {chi: chain(chi, 100 + chi) for chi in sorted(set(exact_chis + fast_chis))}
     samples = fast_norm_parameters(2.0, 0.5, 0.25).samples

@@ -86,6 +86,18 @@ BAD_MEASURE = """
 }
 """
 
+# the same squeezed branch twice with opposite coefficients: Ψ = 0
+ZERO_TERMS = """
+{
+  "modes": 1,
+  "state": {"type": "terms", "terms": [
+    {"coeff": [1.0, 0.0], "alpha": [[0.3, 0.1]], "gamma": [[0.5, 0.0], [0.0, 2.0]]},
+    {"coeff": [-1.0, 0.0], "alpha": [[0.3, 0.1]], "gamma": [[0.5, 0.0], [0.0, 2.0]]}]},
+  "gates": [{"op": "squeeze", "mode": 1, "z": 0.4}],
+  "measure": {"k": 1, "beta": [[0.0, 0.0]]}
+}
+"""
+
 
 def _write(tmp_path, name, text):
     path = tmp_path / name
@@ -322,6 +334,16 @@ class TestErrorReporting:
         code, out, err = _run(capsys, [
             "simulate", "--circuit", path, "--method", "approx", "--seed", "1",
             flag, value])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert json.loads(err)["error"] == "validation"
+
+    @pytest.mark.parametrize("command", ["simulate", "norm"])
+    def test_zero_superposition_is_validation_error(self, tmp_path, capsys, command):
+        # without --energy-bound the bound is derived from ⟨H⟩ = ⟨Ψ|H|Ψ⟩/‖Ψ‖²
+        path = _write(tmp_path, "zero.json", ZERO_TERMS)
+        code, out, err = _run(capsys, [
+            command, "--circuit", path, "--method", "approx", "--seed", "1"])
         assert code == EXIT_VALIDATION
         assert out == ""
         assert json.loads(err)["error"] == "validation"

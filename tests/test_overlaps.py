@@ -6,21 +6,37 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import complex_in_disc, random_superposition
+from conftest import (
+    assert_rel_close,
+    complex_in_disc,
+    phased_descriptions,
+    random_superposition,
+)
 
+from gaussum import overlaps
+from gaussum.circuit import evolve
 from gaussum.core import (
+    Beamsplitter,
     BranchPathError,
+    Displacement,
+    NumericError,
     PhaseRecoveryError,
+    PhaseShift,
+    Squeeze,
     ValidationError,
     coherent_description,
     hat_d,
     random_pure_description,
+    symplectic_form,
     vacuum_description,
 )
 from gaussum.evolution import apply_squeeze
 from gaussum.fock import fock_apply_gate, fock_from_description, fock_overlap
-from gaussum.core import Displacement
 from gaussum.overlaps import (
+    GRAM_BLOCK,
+    BranchStack,
+    _as_stack,
+    _triple_exponent,
     branched_sqrt_det,
     coherent_overlap,
     gram,
@@ -30,6 +46,14 @@ from gaussum.overlaps import (
     pair_fidelity,
     stack_branches,
     triple_overlap_product,
+)
+from gaussum.states import appendix_d_state, cat_state, gkp_comb
+from gaussum.superposition import (
+    GaussianSuperposition,
+    _probe_stack,
+    exact_norm,
+    fast_norm,
+    post_measurement_superposition,
 )
 
 
@@ -299,3 +323,179 @@ class TestGram:
             gram(one, two)
         with pytest.raises(ValidationError):
             stack_branches([vacuum_description(1), vacuum_description(2)])
+
+
+def _reference_overlap(a, b) -> complex:
+    """⟨ψ_a, ψ_b⟩ for two unstacked BranchStacks, by the per-pair triple
+    formula (_triple_exponent with Γ₁ = I, anchors divided out) and roots
+    from Σ Log eigvals: the kernel the two-stage one replaced."""
+    dim = a.d.size
+    c, f0, g1p, s23, s14 = _triple_exponent(np.eye(dim), a.d, a.gamma, a.d, b.gamma, b.d)
+    xi = symplectic_form(dim // 2) @ hat_d(a.alpha - b.alpha)
+    f = f0 - 0.5j * g1p @ xi
+    expo = c - xi @ (0.25 * xi + 1j * a.d) - f @ np.linalg.solve(s14, f)
+    log_t = (expo - 0.5 * np.log(np.linalg.eigvals(s23 / 2).astype(complex)).sum()
+             - 0.5 * np.log(np.linalg.eigvals(s14 / 2)).sum())
+    u = np.exp(-1j * np.imag(a.alpha @ np.conj(b.alpha))) * np.conj(b.r)
+    return complex(np.exp(log_t) / (u * a.r))
+
+
+def _reference_gram(stack_a, stack_b) -> np.ndarray:
+    chi_a, chi_b = stack_a.r.size, stack_b.r.size
+    gamma_a = np.broadcast_to(stack_a.gamma, (chi_a,) + stack_a.gamma.shape[-2:])
+    gamma_b = np.broadcast_to(stack_b.gamma, (chi_b,) + stack_b.gamma.shape[-2:])
+    return np.array([[_reference_overlap(
+        BranchStack(gamma_a[k], stack_a.d[k], stack_a.alpha[k], stack_a.r[k]),
+        BranchStack(gamma_b[j], stack_b.d[j], stack_b.alpha[j], stack_b.r[j]))
+        for j in range(chi_b)] for k in range(chi_a)])
+
+
+def _coherent_chain(n: int, chi: int, seed: int, condition: bool = True):
+    """χ coherent branches along a random line, evolved by beamsplitter (for
+    n = 2) and squeeze gates and, if condition, conditioned on a heterodyne
+    outcome of mode 1: every branch keeps the same covariance."""
+    rng = np.random.default_rng(seed)
+    direction = np.exp(2j * np.pi * rng.random(n)) / np.sqrt(n)
+    labels = np.linspace(-1.5, 1.5, chi)[:, None] * direction
+    coeffs = rng.standard_normal(chi) + 1j * rng.standard_normal(chi)
+    psi = GaussianSuperposition(coeffs, tuple(coherent_description(a) for a in labels))
+    gates = [Squeeze(0.3, 1), PhaseShift(0.7, n)]
+    if n == 2:
+        gates = [Beamsplitter(0.6, 1, 2), Squeeze(-0.25, 2)] + gates
+    psi = evolve(psi, gates)
+    if not condition:
+        return psi
+    return post_measurement_superposition(psi, np.array([0.2 - 0.3j]))
+
+
+def _bit_equal_rows(gamma: np.ndarray) -> bool:
+    bits = np.ascontiguousarray(gamma).view(np.uint64)
+    return bool((bits == bits[0]).all())
+
+
+class TestTwoStageKernel:
+    """The covariance-stage / center-stage pair kernel against the per-pair
+    triple formula it replaced, the oracle, and its sharing rule."""
+
+    def _certify(self, stack_a, stack_b=None, what=""):
+        got = gram(stack_a, stack_b)
+        want = _reference_gram(stack_a, stack_a if stack_b is None else stack_b)
+        assert_rel_close(got, want, 1e-13, what)
+        return got
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_coherent_chain_after_gates_and_conditioning(self, n):
+        evolved = _coherent_chain(n, 12, 50 + n, condition=False)
+        assert not np.allclose(evolved.branches.gamma[0], np.eye(2 * n))
+        self._certify(evolved.branches, what=f"evolved chain n={n}")
+        psi = _coherent_chain(n, 12, 50 + n)
+        g = self._certify(psi.branches, what=f"conditioned chain n={n}")
+        focks = [fock_from_description(d) for d in psi.descriptions[:5]]
+        oracle = np.array([[fock_overlap(fk, fj) for fj in focks] for fk in focks])
+        assert np.abs(g[:5, :5] - oracle).max() < 1e-8, f"n={n}: gram ≠ oracle"
+
+    def test_cat_and_gkp_comb(self):
+        self._certify(cat_state(1.3 - 0.4j, "odd").branches, what="cat")
+        comb = gkp_comb(0.6, 4, 1.1, 2.0)
+        g = self._certify(comb.branches, what="gkp comb")
+        focks = [fock_from_description(d) for d in comb.descriptions[3:6]]
+        oracle = np.array([[fock_overlap(fk, fj) for fj in focks] for fk in focks])
+        assert np.abs(g[3:6, 3:6] - oracle).max() < 1e-8, "gkp comb: gram ≠ oracle"
+
+    def test_general_path(self):
+        # two covariance classes, then one covariance per branch with
+        # complex reference overlaps
+        self._certify(appendix_d_state(0.4, 1.2, 0.5).branches, what="appendixD")
+        for n, chi in ((1, 9), (2, 7)):
+            stack = stack_branches(phased_descriptions(60 + n, n, chi, z_max=0.9))
+            g = self._certify(stack, what=f"squeezed n={n}")
+            focks = [fock_from_description(d)
+                     for d in phased_descriptions(60 + n, n, chi, z_max=0.9)[:4]]
+            oracle = np.array([[fock_overlap(fk, fj) for fj in focks] for fk in focks])
+            assert np.abs(g[:4, :4] - oracle).max() < 1e-8, f"n={n}: gram ≠ oracle"
+
+    def test_probes_and_cross_form(self):
+        chain = _coherent_chain(1, 9, 70).branches
+        squeezed = stack_branches(phased_descriptions(71, 1, 6))
+        probes = _probe_stack(1, 1234, 0, 11, 2.5)
+        assert probes.gamma.shape == (1, 2, 2), "probes should hold Γ = I once"
+        self._certify(probes, chain, "probes against a shared stack")
+        self._certify(probes, squeezed, "probes against an unshared stack")
+        self._certify(chain, squeezed, "cross form, χ_a ≠ χ_b")
+        self._certify(squeezed, chain.take(np.arange(4)), "cross form, shared on the right")
+
+    def test_overlap_returns_python_complex(self):
+        d1 = random_pure_description(2, 0.8, 3)
+        d2 = random_pure_description(2, 0.8, 4)
+        value = overlap(d1, d2)
+        assert type(value) is complex
+        assert abs(value - _reference_overlap(*map(_as_stack, (d1, d2)))) < 1e-13
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_pivot_root_matches_eigenvalue_root(self, n):
+        rng = np.random.default_rng(80 + n)
+        x = rng.standard_normal((50, 2 * n, 2 * n))
+        a = x @ np.swapaxes(x, -1, -2) / (2 * n) + 0.2 * np.eye(2 * n)
+        y = rng.standard_normal((50, 2 * n, 2 * n))
+        b = 3.0 * (y + np.swapaxes(y, -1, -2))
+        # a dominant positive definite B turns every eigenvalue towards +i,
+        # which takes ½·Σ Arg λ past π for n ≥ 3
+        b[25:] = 20.0 * (y[25:] @ np.swapaxes(y[25:], -1, -2) / (2 * n) + np.eye(2 * n))
+        m = a + 1j * b
+        # both log-sums continue log det A along A + itB, so they agree as
+        # numbers, not only modulo 2πi
+        got = overlaps._log_sqrt_det(m)
+        want = 0.5 * np.log(np.linalg.eigvals(m)).sum(axis=-1)
+        assert np.abs(got - want).max() < 1e-12, f"n={n}"
+        assert np.abs(branched_sqrt_det(m) - np.exp(want)).max() < 1e-12 * np.abs(
+            np.exp(want)).max()
+
+    def _stage_sizes(self, monkeypatch):
+        sizes = []
+        stage = overlaps._covariance_stage
+
+        def counted(gamma_a, gamma_b):
+            sizes.append(int(np.prod(np.broadcast_shapes(gamma_a.shape[:-2],
+                                                         gamma_b.shape[:-2]))))
+            return stage(gamma_a, gamma_b)
+
+        monkeypatch.setattr(overlaps, "_covariance_stage", counted)
+        return sizes
+
+    def test_shared_stack_runs_one_covariance_stage_per_call(self, monkeypatch):
+        psi = _coherent_chain(2, 64, 90)
+        assert psi.chi == 64
+        sizes = self._stage_sizes(monkeypatch)
+        exact_norm(psi)
+        assert sizes and set(sizes) == {1}, f"stage sizes {sorted(set(sizes))}"
+        assert len(sizes) == -(-64 * 63 // 2 // GRAM_BLOCK), "one stage per kernel call"
+        sizes.clear()
+        fast_norm(psi, 0.5, 0.25, 2.0, 7)
+        assert sizes and set(sizes) == {1}, f"fast_norm stage sizes {sorted(set(sizes))}"
+
+    def test_unshared_stack_runs_one_covariance_stage_per_pair(self, monkeypatch):
+        psi = GaussianSuperposition(np.ones(9), phased_descriptions(91, 2, 9))
+        sizes = self._stage_sizes(monkeypatch)
+        exact_norm(psi)
+        assert sum(sizes) == 9 * 8 // 2, f"stage sizes {sizes}"
+
+    def test_gates_and_conditioning_keep_equal_covariances_bit_equal(self):
+        chi, n = 16, 2
+        labels = np.linspace(-1.0, 1.0, chi)[:, None] * np.array([0.6 + 0.2j, -0.3j])
+        psi = GaussianSuperposition(np.ones(chi),
+                                    tuple(coherent_description(a) for a in labels))
+        gates = [Squeeze(0.4, 1), Beamsplitter(0.9, 1, 2), PhaseShift(1.1, 2),
+                 Displacement(np.array([0.2, -0.1j])), Squeeze(-0.3, 2)]
+        evolved = evolve(psi, gates)
+        assert _bit_equal_rows(evolved.branches.gamma), "gates split the covariances"
+        post = post_measurement_superposition(evolved, np.array([0.3 + 0.1j]))
+        assert post.chi > 1
+        assert _bit_equal_rows(post.branches.gamma), "conditioning split the covariances"
+
+    def test_wrong_magnitude_in_shared_stack_raises(self):
+        psi = _coherent_chain(1, 8, 95)
+        r = psi.branches.r.copy()
+        r[3] *= 1.1
+        bad = GaussianSuperposition(psi.coeffs, psi.branches._replace(r=r))
+        with pytest.raises(NumericError):
+            exact_norm(bad)

@@ -514,6 +514,23 @@ class TestEnergyBookkeeping:
         expected = energy_of_gaussian(delta.gamma, delta.d)
         assert abs(superposition_energy_exact(psi) - expected) < 1e-9
 
+    # seeds whose squeezed branch leaves the rounded ‖Ψ‖² a few ulps above 0
+    @pytest.mark.parametrize("n, seed", [(1, 12), (2, 10)])
+    def test_zero_superposition_has_no_energy(self, n, seed):
+        for delta in (coherent_description(np.full(n, 0.3 + 0.1j)),
+                      random_pure_description(n, 0.8, seed, alpha_max=0.8)):
+            for coeffs in ([1.0, -1.0], [0.5j, 0.25j, -0.75j]):
+                psi = GaussianSuperposition(np.array(coeffs), (delta,) * len(coeffs))
+                with pytest.raises(ValidationError):
+                    superposition_energy_exact(psi)
+
+    def test_small_norm_keeps_its_energy(self):
+        # odd cat at |α| = 10⁻³: ‖Ψ‖² is about 10⁻⁶ of Σ|c_k c_j G_kj|,
+        # far above rounding; ⟨H⟩ = 2|α|²·coth|α|² + 2 → 4, one photon
+        alpha = 1e-3
+        value = superposition_energy_exact(cat_state(alpha, "odd"))
+        assert value == pytest.approx(2.0 * alpha ** 2 / np.tanh(alpha ** 2) + 2.0, rel=1e-8)
+
     def test_superposition_energy_identical_branches(self):
         delta = random_pure_description(3, 0.8, 9, alpha_max=0.8)
         half = np.array([0.5 + 0j, 0.5 + 0j])
