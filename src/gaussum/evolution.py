@@ -4,9 +4,10 @@ Covariances transform as Γ → SΓSᵀ under the gate's symplectic matrix and
 coherent labels follow the gate's closed-form label map.  The reference
 overlap r = ⟨α, ψ⟩ needs no recomputation for displacements (a Weyl phase)
 or passive gates (they map coherent states to coherent states with no
-extra phase), but squeezing changes it nontrivially; there it is recovered
-through the anchored triple-overlap identity with the squeezed coherent
-state as the bridge.
+extra phase), but squeezing changes it nontrivially.  There
+r' = ⟨α', Sψ⟩ = ⟨S†α', ψ⟩, and S†|α'⟩ is the displaced squeezed vacuum
+(S⁻¹S⁻ᵀ, α, 1/√cosh z) on ψ's own pre-gate label α, so r' is one pair
+overlap of the overlaps kernel, with equal centers.
 
 Every gate acts on a whole BranchStack per call: the branches of a
 superposition are updated together, with the gate's S and label map
@@ -29,7 +30,7 @@ from .core import (
     gate_symplectic,
     hat_d,
 )
-from .overlaps import BranchStack, _as_stack, _same_kind, overlaptriple
+from .overlaps import BranchStack, _as_stack, _log_pair_overlaps, _same_kind, _shared
 
 
 def _congruence(s: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -88,29 +89,25 @@ def apply_beamsplitter(delta, omega: float, j: int, k: int):
 def apply_squeeze(delta, z: float, j: int):
     """Squeeze mode j by log-factor z: α_j → α_j·cosh z - ᾱ_j·sinh z.
 
-    The new reference overlap r' = ⟨α', S_j(z)ψ⟩ is recovered from the
-    triple (S_j(z)|α⟩, |α'⟩, S_j(z)ψ) with no displacement: the anchors are
-    ⟨S_j(z)ψ, S_j(z)|α⟩⟩ = r̄ (unitary invariance) and
-    ⟨S_j(z)|α⟩, |α'⟩⟩ = 1/√cosh z (the squeezed coherent state keeps the
-    mapped center, so only the width mismatch contributes).  The triples
-    of a stack go through one stacked overlaptriple call.
+    The new reference overlap is r' = ⟨α', Sψ⟩ = ⟨S†α', ψ⟩ with S = S_j(z).
+    S†|α'⟩ = D(α)S†|0⟩ is the description (S⁻¹S⁻ᵀ, α, 1/√cosh z), α being
+    ψ's own pre-gate label (the anchor of states._squeezed_description), so
+    r' is one pair overlap with δ = 0.  S⁻¹S⁻ᵀ is the same for every
+    branch, so a stack whose covariances are all equal runs one covariance
+    stage per gate.
     """
     stack = _as_stack(delta)
     gate = Squeeze(float(z), j)
-    n = stack.alpha.shape[-1]
-    s, _ = gate_symplectic(gate, n)
-    gamma_new = _congruence(s, stack.gamma)
+    s, _ = gate_symplectic(gate, stack.alpha.shape[-1])
+    # S is diagonal, so S⁻¹S⁻ᵀ is diag(S)⁻², exactly symmetric
+    anchor = BranchStack(np.diag(np.diag(s) ** -2.0), stack.d, stack.alpha,
+                         1.0 / np.sqrt(np.cosh(gate.z)))
+    r_new = np.exp(_log_pair_overlaps(anchor, _shared(stack)))
     aj = stack.alpha[..., j - 1]
     alpha = stack.alpha.copy()
     alpha[..., j - 1] = aj * np.cosh(gate.z) - np.conj(aj) * np.sinh(gate.z)
-    d_new = hat_d(alpha)
-    # S is diagonal, so SSᵀ is exactly symmetric
-    r_new = overlaptriple(
-        s @ s.T, d_new,
-        np.eye(2 * n), d_new,
-        gamma_new, d_new,
-        np.conj(stack.r), 1.0 / np.sqrt(np.cosh(gate.z)), np.zeros(n, dtype=complex))
-    return _same_kind(delta, BranchStack(gamma_new, d_new, alpha, r_new))
+    return _same_kind(delta, BranchStack(_congruence(s, stack.gamma), hat_d(alpha),
+                                         alpha, r_new))
 
 
 def apply_unitary(delta, g: Gate):

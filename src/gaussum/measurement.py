@@ -8,17 +8,21 @@ outcome |β⟩ has the Gaussian outcome density
 where Γ_A, s_A are the measured block of the covariance and center.  The
 conditioned state is again a pure Gaussian: the measured modes collapse to
 |β⟩ and the remaining block picks up the Schur complement of Γ_A + I.  Its
-reference phase is recovered through the anchored triple-overlap identity,
-using the original state and the outcome's coherent state as anchors.
+reference overlap needs no anchor beyond the outcome norm: with
+Π_β = |β⟩⟨β| ⊗ I and the conditioned label α' = (β, α'_B),
 
-Conditioning works in log space: the triple product, the anchor
-(πᵏp)^{1/2} and the density itself are carried as logs and exponentiated
-once, so the conditioned description is exact for every outcome, and a
-density below the double range reads 0.0 instead of failing.
+    r' = ⟨α', Π_βψ⟩ / ‖Π_βψ‖ = ⟨α', ψ⟩ / (πᵏp)^{1/2},
+
+one pair overlap of the coherent state |α'⟩ against ψ.
+
+Conditioning works in log space: the pair overlap, the norm (πᵏp)^{1/2}
+and the density itself are carried as logs and exponentiated once, so the
+conditioned description is exact for every outcome, and a density below
+the double range reads 0.0 instead of failing.
 
 Every function here takes a GaussianDescription or a whole BranchStack.
 A stack is conditioned on one outcome in one call, its blocks, Schur
-complements and triple products stacked along its leading axes; a
+complements and pair overlaps stacked along its leading axes; a
 description is the stack with no leading axis and runs the same code.
 """
 
@@ -31,10 +35,11 @@ from .overlaps import (
     BranchStack,
     _as_stack,
     _dot,
-    _log_triple_product,
+    _log_pair_overlaps,
     _mv,
     _same_kind,
     _scalar_or_array,
+    _shared,
 )
 
 
@@ -79,9 +84,14 @@ def postmeasure(delta, outcome: np.ndarray):
         left in |β⟩; the full mode count is preserved.  The state is exact
         for every outcome; p is 0.0 when it lies below the double range.
 
+    The new reference overlap is r' = ⟨α', Π_βψ⟩/‖Π_βψ‖ = ⟨α', ψ⟩/(πᵏp)^{1/2}
+    with Π_β = |β⟩⟨β| ⊗ I and α' = (β, α'_B): the log pair overlap of the
+    coherent state |α'⟩ (Γ = I) against ψ, minus ½(k·log π + log p).
+
     Raises:
         ValidationError: the outcome has no modes or more than the state,
             or some measured block Γ_A + I is not positive definite.
+        PhaseRecoveryError: a reference overlap of the input is zero.
     """
     stack = _as_stack(delta)
     outcome, k, minv, log_p = _measured_blocks(stack, outcome)
@@ -97,16 +107,9 @@ def postmeasure(delta, outcome: np.ndarray):
     d_new = np.concatenate([np.broadcast_to(db, sa.shape), sb + _mv(gba_minv, db - sa)],
                            axis=-1)
     alpha_new = hat_d_inv(d_new)
-    # anchors: u = ⟨α', D(α - α')ψ⟩ via the Weyl phase on r, and
-    # v = ⟨ψ, ψ'⟩ = ‖Π_β ψ‖ = (πᵏ p)^{1/2} since Π_β is a projector;
-    # r' = conj(T/(u·v)), divided in log space
-    log_u = 1j * np.imag(_dot(alpha_new, np.conj(stack.alpha))) + np.log(
-        np.asarray(stack.r, dtype=complex))
-    log_t = _log_triple_product(
-        gamma, stack.d,
-        gamma_new, d_new,
-        np.eye(2 * n), d_new,
-        stack.alpha - alpha_new)
-    r_new = np.conj(np.exp(log_t - log_u - 0.5 * (k * np.log(np.pi) + log_p)))
-    post = BranchStack(gamma_new, hat_d(alpha_new), alpha_new, r_new)
+    d_new = hat_d(alpha_new)
+    log_r = _log_pair_overlaps(BranchStack(np.eye(2 * n), d_new, alpha_new, 1.0),
+                               _shared(stack))
+    r_new = np.exp(log_r - 0.5 * (k * np.log(np.pi) + log_p))
+    post = BranchStack(gamma_new, d_new, alpha_new, r_new)
     return _same_kind(delta, post), _scalar_or_array(np.exp(log_p))

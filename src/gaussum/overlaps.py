@@ -1,32 +1,40 @@
 """Inner products between pure Gaussian states from their descriptions.
 
-The centerpiece is a closed form for the product of the three overlaps
-around a triple of pure Gaussian states, one of them displaced:
-
-    T = ⟨ψ₃, D(α)ψ₁⟩ · ⟨ψ₁, ψ₂⟩ · ⟨ψ₂, ψ₃⟩
-
-T is computable from the covariance matrices and centers alone, because
-every unknown global phase appears once as a bra and once as a ket and
-cancels.  Dividing T by two known anchor overlaps then recovers the third
-overlap, phase included; this is how descriptions propagate their
-reference overlap r = ⟨α, ψ⟩ through squeezing and measurement.
-
-Pairwise overlaps ⟨ψ_a, ψ_b⟩ (gram, its cross form, estimator probes,
-energy_gram) are the triple (|α_a⟩, ψ_a, ψ_b) with Γ₁ = I, split in two
-stages.  Everything but the two centers depends on the covariance pair
-alone, so the covariance stage (_covariance_stage) runs once per pair of
-covariances and returns a complex symmetric Q and a log-constant; the
-center stage (_pair_overlaps) runs per pair of branches:
+Every overlap between described states comes from one pair kernel
+(coherent_overlap is the closed form for two coherent labels, kept as an
+independent check), split in two stages.  In ⟨ψ_a, ψ_b⟩ everything but
+the two centers depends on the covariance pair alone, so the covariance
+stage (_covariance_stage) runs once per pair of covariances and returns
+a complex symmetric Q and a log-constant; the center stage
+(_log_pair_overlaps) runs per pair of branches:
 
     log⟨ψ_a, ψ_b⟩ = log-constant − δᵀQδ − i·Im(α_a·ᾱ_b) − log(r̄_b·r_a),
     δ = d_a − d_b.
 
+gram, its cross form, estimator probes and energy_gram exponentiate it;
+squeezing and conditioning read their new reference overlap r' off it as
+one pair overlap each (see evolution.apply_squeeze and
+measurement.postmeasure), and conditioning divides the outcome norm out in
+log space, so no anchor is ever too small to divide by.
+
 A stack whose covariances are all equal enters the kernel with one
-covariance (see gram), so coherent chains, cats and probes pay for one
+covariance (see _shared), so coherent chains, cats and probes pay for one
 covariance stage per kernel call; a stack with one covariance per branch
 runs the same code with one covariance stage per pair.
 
-The triple product, the stages and the determinant root accept stacks of
+The product of the three overlaps around a triple of pure Gaussian states,
+one of them displaced,
+
+    T = ⟨ψ₃, D(λ)ψ₁⟩ · ⟨ψ₁, ψ₂⟩ · ⟨ψ₂, ψ₃⟩,
+
+is computable from the covariance matrices and centers alone, because
+every unknown global phase appears once as a bra and once as a ket and
+cancels.  triple_overlap_product therefore takes each ψ_i in the positive
+gauge r_i = |r_i| its covariance implies and sums three log pair overlaps.
+Dividing T by two known anchor overlaps recovers the third overlap, phase
+included (overlaptriple).
+
+The stages, the triple product and the determinant root accept stacks of
 inputs along leading axes, broadcast like numpy's batched linear algebra;
 a single pair or triple is the unstacked case of the same code.
 
@@ -42,11 +50,6 @@ logarithm, and Σₖ Log pₖ is the continuous continuation of log det A.
 The tracked root is therefore exp(½·Σₖ Log pₖ), in closed form (the
 stability of elimination without pivoting for matrices with a positive
 definite symmetric part is in Golub & Van Loan, Matrix Computations).
-
-The kernel itself works in log space (_log_triple_product): the triple
-product's exponent minus the two log-roots.  Public values exponentiate it,
-and measurement divides anchors out of it before exponentiating, so no
-anchor is ever too small to divide by.
 """
 
 from __future__ import annotations
@@ -61,8 +64,10 @@ from .core import (
     GaussianDescription,
     PhaseRecoveryError,
     ValidationError,
+    _log_reference_magnitude,
     energy_of_gaussian,
     hat_d,
+    hat_d_inv,
     symplectic_form,
 )
 
@@ -115,13 +120,14 @@ def _same_kind(state, stack: BranchStack):
 
 
 def _shared(stack: BranchStack) -> BranchStack:
-    """stack with its covariances as one entry when they are all equal.
+    """stack with its covariances as one entry when it has a branch axis
+    and they are all equal.
 
     The test is O(χ·4n²); a shared covariance makes the pair kernel run
     its covariance stage once per call instead of once per pair.
     """
     gamma = stack.gamma
-    if len(gamma) > 1 and (gamma == gamma[0]).all():
+    if gamma.ndim > 2 and len(gamma) > 1 and (gamma == gamma[0]).all():
         return stack._replace(gamma=gamma[:1])
     return stack
 
@@ -188,23 +194,21 @@ def coherent_overlap(a: np.ndarray, b: np.ndarray) -> complex:
                           + np.conj(a) @ b))
 
 
-def _fidelity(gamma1: np.ndarray, d1: np.ndarray,
-              gamma2: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """Stacked 2ⁿ · exp(-δᵀ(Γ₁+Γ₂)⁻¹δ) / √det(Γ₁+Γ₂) with δ = d₁ - d₂.
+def _fidelity(a: BranchStack, b: BranchStack) -> np.ndarray:
+    """Stacked 2ⁿ · exp(-δᵀ(Γ_a+Γ_b)⁻¹δ) / √det(Γ_a+Γ_b) with δ = d_a - d_b.
 
     Split like the pair kernel, with a stage of its own: slogdet and
-    inverse of Γ₁+Γ₂ once per covariance pair, then one quadratic form per
-    pair of centers.  It shares no intermediate with the overlap, so it
+    inverse of Γ_a+Γ_b once per covariance pair, then one quadratic form
+    per pair of centers.  It shares no intermediate with the overlap, so it
     stays an independent check on it.
     """
-    n = np.shape(gamma1)[-1] // 2
-    total = gamma1 + gamma2
+    n = a.gamma.shape[-1] // 2
+    total = a.gamma + b.gamma
     sign, logdet = np.linalg.slogdet(total)
     if np.any(sign <= 0):
         raise ValidationError("covariance sum is not positive definite")
-    diff = d1 - d2
     return np.exp(n * np.log(2.0) - 0.5 * logdet
-                  - _quadratic(np.linalg.inv(total), diff))
+                  - _quadratic(np.linalg.inv(total), a.d - b.d))
 
 
 def pair_fidelity(delta1: GaussianDescription, delta2: GaussianDescription) -> float:
@@ -216,7 +220,7 @@ def pair_fidelity(delta1: GaussianDescription, delta2: GaussianDescription) -> f
     """
     if delta1.n != delta2.n:
         raise ValidationError("descriptions have different mode counts")
-    return float(_fidelity(delta1.gamma, delta1.d, delta2.gamma, delta2.d))
+    return float(_fidelity(_as_stack(delta1), _as_stack(delta2)))
 
 
 def _log_sqrt_det(m: np.ndarray) -> np.ndarray:
@@ -289,59 +293,21 @@ def triple_overlap_product(
     Every argument may carry leading stack axes; they broadcast against
     each other, and the result is a complex array over the broadcast
     stack, or a complex for unstacked arguments.  The result is
-    independent of the global phases of the ψ_i.
+    independent of the global phases of the ψ_i, so it is the product of
+    three pair overlaps with each ψ_i in the positive gauge
+    r_i = |r_i| and D(α)ψ₁ = (Γ₁, α₁ − α, |r₁|·e^{i·Im(α₁·ᾱ)}), summed in
+    log space.
     """
-    return _scalar_or_array(np.exp(
-        _log_triple_product(gamma1, d1, gamma2, d2, gamma3, d3, alpha)))
-
-
-def _log_triple_product(
-    gamma1: np.ndarray, d1: np.ndarray,
-    gamma2: np.ndarray, d2: np.ndarray,
-    gamma3: np.ndarray, d3: np.ndarray,
-    alpha: np.ndarray,
-) -> np.ndarray:
-    """log T of triple_overlap_product, on the branch of its two roots.
-
-    The exponent minus log√det(s23/2) and log√det(s14/2) (see
-    _triple_exponent); finite however small T is.  Stacked arguments
-    broadcast.
-    """
-    c, f0, g1p, s23, s14 = _triple_exponent(gamma1, d1, gamma2, d2, gamma3, d3)
-    xi = hat_d(alpha) @ symplectic_form(np.shape(gamma1)[-1] // 2).T
-    f = f0 - 0.5j * _mv(g1p, xi)
-    expo = (c - _dot(xi, 0.25 * _mv(gamma1, xi) + 1j * d1)
-            - _dot(f, np.linalg.solve(s14, f[..., None])[..., 0]))
-    return expo - _log_sqrt_det(s23 / 2) - _log_sqrt_det(s14 / 2)
-
-
-def _triple_exponent(
-    gamma1: np.ndarray, d1: np.ndarray,
-    gamma2: np.ndarray, d2: np.ndarray,
-    gamma3: np.ndarray, d3: np.ndarray,
-) -> tuple:
-    """Coefficients of the triple product as a function of ξ = Ωd̂(α).
-
-    Returns (c, f0, g1p, s23, s14) such that
-
-        T(ξ) = exp(c − ξᵀ(¼Γ₁ξ + i·d₁) − fᵀ s14⁻¹ f) / (√det(s23/2)·√det(s14/2))
-        with f = f0 − ½i·g1p·ξ and g1p = Γ₁ + iΩ:
-
-    a linear-plus-quadratic exponent in ξ over a denominator that does not
-    depend on α.  s14 is complex symmetric.  Stacked arguments broadcast.
-    """
-    n = np.shape(gamma1)[-1] // 2
-    iom = 1j * symplectic_form(n)
-    g3p = gamma3 + iom
-    s23 = gamma2 + gamma3
-    x = np.linalg.inv(s23)
-    s14 = gamma1 + gamma3 - g3p @ x @ (gamma3 - iom)
-    dp2 = d2 - d3
-    xdp2 = _mv(x, dp2)
-    # With w = (Γ₁ + Γ₄)⁻¹ = s14⁻¹ and x symmetric, the quadratic terms in
-    # (d₁ - d₃, d₂ - d₃, ξ) collapse into one form fᵀ w f.
-    f0 = d1 - d3 - _mv(g3p, xdp2)
-    return -_dot(dp2, xdp2), f0, gamma1 + iom, s23, s14
+    psi1, psi2, psi3 = (
+        BranchStack(gamma, d, hat_d_inv(d), np.exp(_log_reference_magnitude(gamma)))
+        for gamma, d in ((gamma1, d1), (gamma2, d2), (gamma3, d3)))
+    alpha = np.asarray(alpha, dtype=complex)
+    label = psi1.alpha - alpha
+    displaced = BranchStack(gamma1, hat_d(label), label, psi1.r * np.exp(
+        1j * np.imag(_dot(psi1.alpha, np.conj(alpha)))))
+    return _scalar_or_array(np.exp(_log_pair_overlaps(psi3, displaced)
+                                   + _log_pair_overlaps(psi1, psi2)
+                                   + _log_pair_overlaps(psi2, psi3)))
 
 
 def overlaptriple(
@@ -386,16 +352,24 @@ def _stage_constants(dim: int) -> tuple:
 def _covariance_stage(gamma_a: np.ndarray, gamma_b: np.ndarray) -> tuple:
     """(Q, log-constant) of ⟨ψ_a, ψ_b⟩ for broadcast-compatible (Γ_a, Γ_b).
 
-    The triple (|α_a⟩, ψ_a, ψ_b) of _triple_exponent with Γ₁ = I and
-    ξ = Ωδ, δ = d_a − d_b, has the exponent −δᵀQδ plus a phase, with
+    Derivation: with χ the coherent state |α_a⟩ (covariance I) and
+    λ = α_a − α_b, D(λ)χ is |α_b⟩ up to a Weyl phase, so the trace of
+    three Gaussian projectors tr(D(λ)·|χ⟩⟨χ|·|ψ_a⟩⟨ψ_a|·|ψ_b⟩⟨ψ_b|) is
+    r̄_b·r_a·⟨ψ_a, ψ_b⟩ times that phase.  The product |ψ_a⟩⟨ψ_a|ψ_b⟩⟨ψ_b|
+    is a Gaussian operator of complex covariance Γ_b − (Γ_b+iΩ)x(Γ_b−iΩ)
+    and weight 1/√det((Γ_a+Γ_b)/2), x = (Γ_a+Γ_b)⁻¹; its trace against the
+    displaced coherent projector is a Gaussian integral over
+    s14 = I + Γ_b − (Γ_b+iΩ)x(Γ_b−iΩ).  In the centers only δ = d_a − d_b
+    enters, through ξ = Ωδ, and completing the square leaves the exponent
+    −δᵀQδ plus the phase the center stage carries, with
 
-        x = (Γ_a+Γ_b)⁻¹,  s14 = I + Γ_b − (Γ_b+iΩ)x(Γ_b−iΩ),
         K = I − (Γ_b+iΩ)x − ½i(I+iΩ)Ω = ½(I − iΩ) − (Γ_b+iΩ)x,
         Q = x + ¼I + Kᵀs14⁻¹K,
 
-    and the log-constant −log√det((Γ_a+Γ_b)/2) − log√det(s14/2).  Q is
-    complex symmetric.  The result is stacked over the broadcast leading
-    axes of the two covariances, not over any centers.
+    and the log-constant −log√det((Γ_a+Γ_b)/2) − log√det(s14/2), both
+    roots on the branch of branched_sqrt_det.  Q is complex symmetric.
+    The result is stacked over the broadcast leading axes of the two
+    covariances, not over any centers.
     """
     dim = gamma_a.shape[-1]
     eye, iom, half_k, quarter = _stage_constants(dim)
@@ -408,29 +382,35 @@ def _covariance_stage(gamma_a: np.ndarray, gamma_b: np.ndarray) -> tuple:
     return q, -_log_sqrt_det(s23 / 2) - _log_sqrt_det(s14 / 2)
 
 
-def _pair_overlaps(a: BranchStack, b: BranchStack) -> np.ndarray:
-    """⟨ψ_a, ψ_b⟩ over two broadcast-compatible stacks.
+def _log_pair_overlaps(a: BranchStack, b: BranchStack) -> np.ndarray:
+    """log⟨ψ_a, ψ_b⟩ over two broadcast-compatible stacks.
 
     The covariance stage runs on (a.gamma, b.gamma), once per covariance
     pair; the center stage is, per pair,
 
         log G = log-constant − δᵀQδ − i·Im(α_a·ᾱ_b) − log(r̄_b·r_a).
 
-    The triple's phase −i·δᵀΩᵀd_a and the anchor's Weyl phase
-    +i·Im(α_a·ᾱ_b) sum to −i·Im(α_a·ᾱ_b) since d = d̂(α).
+    The trace's phase −i·δᵀΩᵀd_a and the Weyl phase of D(λ)|α_a⟩,
+    +i·Im(α_a·ᾱ_b), sum to −i·Im(α_a·ᾱ_b) since d = d̂(α).
 
     Raises:
         PhaseRecoveryError: a reference overlap is zero.
     """
     q, log_c = _covariance_stage(a.gamma, b.gamma)
     delta = a.d - b.d
-    log_g = (log_c - _quadratic(q, delta)
-             - 1j * (a.alpha * b.alpha.conj()).imag.sum(axis=-1))
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        value = np.exp(log_g - np.log(np.conj(b.r) * a.r))
-    if not np.all(np.isfinite(value)):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_g = (log_c - _quadratic(q, delta)
+                 - 1j * (a.alpha * b.alpha.conj()).imag.sum(axis=-1)
+                 - np.log(np.conj(b.r) * a.r))
+    if not np.all(np.isfinite(log_g)):
         raise PhaseRecoveryError("a reference overlap is zero; no phase to recover")
-    return value
+    return log_g
+
+
+def _pair_overlaps(a: BranchStack, b: BranchStack) -> np.ndarray:
+    """⟨ψ_a, ψ_b⟩ over two broadcast-compatible stacks: the exponential of
+    _log_pair_overlaps, and the entry point of gram and its cross form."""
+    return np.exp(_log_pair_overlaps(a, b))
 
 
 def _pair_energy_factors(a: BranchStack, b: BranchStack) -> np.ndarray:
@@ -439,7 +419,7 @@ def _pair_energy_factors(a: BranchStack, b: BranchStack) -> np.ndarray:
     H = Σ_m (Q_m² + P_m² + 1) = n + RᵀR.  With D(β) = exp(iξᵀR), ξ = Ωd̂(β)
     up to sign, F(η) = ⟨ψ_a, D(β)ψ_b⟩ at η = d̂(β) has ⟨ψ_a|RᵀR|ψ_b⟩ =
     −tr ∇²F(0).  D(β)ψ_b is the description (Γ_b, α_b − β, r_b·e^{i·Im(α_b β̄)}),
-    so by the center stage of _pair_overlaps F = G·e^φ with
+    so by the center stage of _log_pair_overlaps F = G·e^φ with
 
         φ(η) = −2δᵀQη − ηᵀQη − ½i·(d_a + d_b)ᵀΩη,
 
@@ -512,14 +492,13 @@ def gram_defect(psi: BranchStack, g: np.ndarray) -> float:
     """Largest | |G_kj|² - pair_fidelity(ψ_k, ψ_j) | over the pairs k < j.
 
     The fidelity needs no phase data, so this checks every overlap gram
-    computed for psi against an independent closed form.  Covariances are
-    shared as in gram, so a stack with one covariance takes one slogdet
-    and one inverse.
+    computed for psi against an independent closed form.  The pairs are
+    evaluated GRAM_BLOCK per call with covariances shared as in gram, so a
+    stack with one covariance takes one slogdet and one inverse per block.
     """
     k, j = _upper_triangle(psi.r.size)
-    gamma = _shared(psi).gamma
-    gamma_k, gamma_j = (gamma, gamma) if len(gamma) == 1 else (gamma[k], gamma[j])
-    f = _fidelity(gamma_k, psi.d[k], gamma_j, psi.d[j])
+    shared = _shared(psi)
+    f = _blocked(_fidelity, shared, k, shared, j).real
     return float(np.max(np.abs(np.abs(g[k, j]) ** 2 - f), initial=0.0))
 
 

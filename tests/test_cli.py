@@ -286,9 +286,15 @@ class TestOracleCheck:
         assert payload["abs_diff"] <= payload["tol"]
         assert abs(payload["p"] - payload["p_oracle"]) == payload["abs_diff"]
 
-    def test_unattainable_tolerance_fails_with_numeric_exit(self, tmp_path, capsys):
-        # A stronger squeeze leaves a nonzero (but tiny) truncation residue,
-        # so a zero tolerance must report a failed check.
+    def test_unattainable_tolerance_fails_with_numeric_exit(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # A zero tolerance must report a failed check for any nonzero
+        # residue.  The engine's density can match the oracle's to the last
+        # bit, so the residue is made here: the oracle is offset by 1e-12.
+        from gaussum import fock
+        oracle = fock.fock_heterodyne_density
+        monkeypatch.setattr(fock, "fock_heterodyne_density",
+                            lambda state, beta: oracle(state, beta) + 1e-12)
         doc = json.loads(CAT_MEASURED)
         doc["state"] = {"type": "cat", "alpha": [1.4, 0.3], "parity": "odd"}
         doc["gates"] = [{"op": "squeeze", "mode": 1, "z": 0.8}]
@@ -298,7 +304,7 @@ class TestOracleCheck:
         assert code == EXIT_NUMERIC
         payload = json.loads(out)
         assert payload["ok"] is False
-        assert payload["abs_diff"] > 0.0
+        assert abs(payload["abs_diff"] - 1e-12) < 1e-14
 
 
 class TestErrorReporting:

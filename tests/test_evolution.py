@@ -11,6 +11,7 @@ from gaussum.core import (
     Beamsplitter,
     Displacement,
     GaussianDescription,
+    PhaseRecoveryError,
     PhaseShift,
     Squeeze,
     ValidationError,
@@ -259,6 +260,12 @@ class TestStackedGates:
             stack = apply_unitary(stack, gate)
         report = validate_description(stack)
         assert report.ok.shape == (9,) and report.ok.all(), f"{report}"
+
+    def test_zero_reference_overlap_in_stack_raises(self):
+        stack = stack_branches(phased_descriptions(13, 2, 5))
+        stack = stack._replace(r=np.where(np.arange(5) == 3, 0.0, stack.r))
+        with pytest.raises(PhaseRecoveryError):
+            apply_squeeze(stack, 0.5, 2)
 
     def test_wrong_displacement_size_rejected(self):
         stack = stack_branches(phased_descriptions(3, 2, 4))

@@ -9,6 +9,7 @@ from conftest import assert_rel_close, complex_in_disc, phased_descriptions
 
 from gaussum.core import (
     GaussianDescription,
+    PhaseRecoveryError,
     ValidationError,
     coherent_description,
     random_pure_description,
@@ -177,3 +178,13 @@ class TestStackedConditioning:
         with pytest.raises(ValidationError) as stacked:
             postmeasure(stack_branches(descriptions), beta)
         assert str(stacked.value) == str(single.value)
+
+    def test_zero_reference_overlap_raises(self):
+        # r = 0 fixes no phase, so no conditioned r' exists
+        beta = np.array([0.2j])
+        with pytest.raises(PhaseRecoveryError):
+            postmeasure(GaussianDescription(np.eye(2), [0.3 + 0.1j], 0.0), beta)
+        stack = stack_branches(phased_descriptions(11, 2, 5))
+        stack = stack._replace(r=np.where(np.arange(5) == 2, 0.0, stack.r))
+        with pytest.raises(PhaseRecoveryError):
+            postmeasure(stack, beta)

@@ -25,18 +25,21 @@ from gaussum.core import (
     Squeeze,
     ValidationError,
     coherent_description,
+    gate_symplectic,
     hat_d,
     random_pure_description,
     symplectic_form,
     vacuum_description,
 )
 from gaussum.evolution import apply_squeeze
-from gaussum.fock import fock_apply_gate, fock_from_description, fock_overlap
+from gaussum.fock import fock_apply_gate, fock_from_description, fock_overlap, fock_project
+from gaussum.measurement import postmeasure
 from gaussum.overlaps import (
     GRAM_BLOCK,
     BranchStack,
     _as_stack,
-    _triple_exponent,
+    _dot,
+    _mv,
     branched_sqrt_det,
     coherent_overlap,
     gram,
@@ -325,6 +328,35 @@ class TestGram:
             stack_branches([vacuum_description(1), vacuum_description(2)])
 
 
+def _triple_exponent(
+    gamma1: np.ndarray, d1: np.ndarray,
+    gamma2: np.ndarray, d2: np.ndarray,
+    gamma3: np.ndarray, d3: np.ndarray,
+) -> tuple:
+    """Coefficients of the triple product as a function of ξ = Ωd̂(α).
+
+    Returns (c, f0, g1p, s23, s14) such that
+
+        T(ξ) = exp(c − ξᵀ(¼Γ₁ξ + i·d₁) − fᵀ s14⁻¹ f) / (√det(s23/2)·√det(s14/2))
+        with f = f0 − ½i·g1p·ξ and g1p = Γ₁ + iΩ:
+
+    a linear-plus-quadratic exponent in ξ over a denominator that does not
+    depend on α.  s14 is complex symmetric.  Stacked arguments broadcast.
+    """
+    n = np.shape(gamma1)[-1] // 2
+    iom = 1j * symplectic_form(n)
+    g3p = gamma3 + iom
+    s23 = gamma2 + gamma3
+    x = np.linalg.inv(s23)
+    s14 = gamma1 + gamma3 - g3p @ x @ (gamma3 - iom)
+    dp2 = d2 - d3
+    xdp2 = _mv(x, dp2)
+    # With w = (Γ₁ + Γ₄)⁻¹ = s14⁻¹ and x symmetric, the quadratic terms in
+    # (d₁ - d₃, d₂ - d₃, ξ) collapse into one form fᵀ w f.
+    f0 = d1 - d3 - _mv(g3p, xdp2)
+    return -_dot(dp2, xdp2), f0, gamma1 + iom, s23, s14
+
+
 def _reference_overlap(a, b) -> complex:
     """⟨ψ_a, ψ_b⟩ for two unstacked BranchStacks, by the per-pair triple
     formula (_triple_exponent with Γ₁ = I, anchors divided out) and roots
@@ -338,6 +370,46 @@ def _reference_overlap(a, b) -> complex:
              - 0.5 * np.log(np.linalg.eigvals(s14 / 2)).sum())
     u = np.exp(-1j * np.imag(a.alpha @ np.conj(b.alpha))) * np.conj(b.r)
     return complex(np.exp(log_t) / (u * a.r))
+
+
+def _reference_log_triple(gamma1, d1, gamma2, d2, gamma3, d3, lam) -> np.ndarray:
+    """log T of the triple product by _triple_exponent, roots from Σ Log
+    eigvals; stacked arguments broadcast."""
+    c, f0, g1p, s23, s14 = _triple_exponent(gamma1, d1, gamma2, d2, gamma3, d3)
+    xi = hat_d(lam) @ symplectic_form(np.shape(gamma1)[-1] // 2).T
+    f = f0 - 0.5j * _mv(g1p, xi)
+    expo = (c - _dot(xi, 0.25 * _mv(gamma1, xi) + 1j * d1)
+            - _dot(f, np.linalg.solve(s14, f[..., None])[..., 0]))
+    return (expo - 0.5 * np.log(np.linalg.eigvals(s23 / 2).astype(complex)).sum(axis=-1)
+            - 0.5 * np.log(np.linalg.eigvals(s14 / 2)).sum(axis=-1))
+
+
+def _reference_squeezed_r(stack, z: float, j: int) -> np.ndarray:
+    """r' of apply_squeeze by the anchored triple (S|α⟩, |α'⟩, Sψ) with no
+    displacement, divided by its anchors ⟨Sψ, S|α⟩⟩ = r̄ and
+    ⟨S|α⟩, |α'⟩⟩ = 1/√cosh z."""
+    n = stack.alpha.shape[-1]
+    s, _ = gate_symplectic(Squeeze(z, j), n)
+    post = apply_squeeze(stack, z, j)
+    log_t = _reference_log_triple(s @ s.T, post.d, np.eye(2 * n), post.d,
+                                  post.gamma, post.d, np.zeros(n))
+    return np.exp(log_t) * np.sqrt(np.cosh(z)) / np.conj(stack.r)
+
+
+def _reference_conditioned_r(stack, beta) -> np.ndarray:
+    """r' of postmeasure by the anchored triple (ψ, ψ', |α'⟩) displaced by
+    α − α', divided by u = ⟨α', D(α − α')ψ⟩ and ⟨ψ, ψ'⟩ = (πᵏp)^{1/2}."""
+    post, p = postmeasure(stack, beta)
+    n = stack.alpha.shape[-1]
+    log_u = 1j * np.imag(_dot(post.alpha, np.conj(stack.alpha))) + np.log(stack.r)
+    log_t = _reference_log_triple(stack.gamma, stack.d, post.gamma, post.d,
+                                  np.eye(2 * n), post.d, stack.alpha - post.alpha)
+    return np.conj(np.exp(log_t - log_u - 0.5 * (beta.size * np.log(np.pi) + np.log(p))))
+
+
+def _assert_each_rel_close(got, want, rel: float, what: str) -> None:
+    err = np.max(np.abs(got - want) / np.abs(want))
+    assert err <= rel, f"{what}: relative error {err:.3e}"
 
 
 def _reference_gram(stack_a, stack_b) -> np.ndarray:
@@ -479,6 +551,40 @@ class TestTwoStageKernel:
         exact_norm(psi)
         assert sum(sizes) == 9 * 8 // 2, f"stage sizes {sizes}"
 
+    def test_shared_chain_squeezes_and_conditions_with_one_covariance(self, monkeypatch):
+        sizes = self._stage_sizes(monkeypatch)
+        psi = _coherent_chain(2, 64, 90)
+        assert psi.chi == 64
+        # two squeezes and one outcome, each one covariance stage of one pair
+        assert sizes == [1, 1, 1], f"stage sizes {sizes}"
+
+    def test_unshared_stack_squeezes_and_conditions_per_branch(self, monkeypatch):
+        stack = stack_branches(phased_descriptions(92, 2, 9))
+        sizes = self._stage_sizes(monkeypatch)
+        apply_squeeze(stack, 0.4, 1)
+        postmeasure(stack, np.array([0.3 - 0.2j]))
+        assert sizes == [9, 9], f"stage sizes {sizes}"
+
+    def test_gram_defect_is_blocked(self, monkeypatch):
+        chi = 34
+        stack = stack_branches(phased_descriptions(93, 1, chi))
+        assert chi * (chi - 1) // 2 > GRAM_BLOCK
+        g = gram(stack)
+        k, j = np.triu_indices(chi, 1)
+        unblocked = np.max(np.abs(np.abs(g[k, j]) ** 2
+                                  - overlaps._fidelity(stack.take(k), stack.take(j))))
+        sizes = []
+        fidelity = overlaps._fidelity
+
+        def counted(a, b):
+            values = fidelity(a, b)
+            sizes.append(values.size)
+            return values
+
+        monkeypatch.setattr(overlaps, "_fidelity", counted)
+        assert gram_defect(stack, g) == unblocked
+        assert max(sizes) <= GRAM_BLOCK and sum(sizes) == chi * (chi - 1) // 2, sizes
+
     def test_gates_and_conditioning_keep_equal_covariances_bit_equal(self):
         chi, n = 16, 2
         labels = np.linspace(-1.0, 1.0, chi)[:, None] * np.array([0.6 + 0.2j, -0.3j])
@@ -499,3 +605,52 @@ class TestTwoStageKernel:
         bad = GaussianSuperposition(psi.coeffs, psi.branches._replace(r=r))
         with pytest.raises(NumericError):
             exact_norm(bad)
+
+
+class TestPhaseRoutes:
+    """Squeezed and conditioned reference overlaps r', each one pair overlap
+    of the kernel, against the anchored triple formula they replaced and
+    against the oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("z", [0.3, -1.2, 2.5])
+    def test_squeezed_r_matches_triple_formula(self, n, z):
+        stack = stack_branches(phased_descriptions(110 + n, n, 9))
+        for j in range(1, n + 1):
+            _assert_each_rel_close(apply_squeeze(stack, z, j).r,
+                                   _reference_squeezed_r(stack, z, j), 1e-12,
+                                   f"n={n} z={z} mode {j}")
+
+    # At z = 2.5 and |β| = 11 the triple formula itself is off by about
+    # 2e-12 relative against a 60-digit evaluation of the same r', so the
+    # squeezed stacks are conditioned at the smaller squeezes only.
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("z", [None, 0.3, -1.2])
+    def test_conditioned_r_matches_triple_formula(self, n, z):
+        stack = stack_branches(phased_descriptions(120 + n, n, 9))
+        if z is not None:
+            stack = apply_squeeze(stack, z, n)
+        for k in range(1, n + 1):
+            for size in (0.5, 3.0, 11.0):
+                beta = size * np.exp(1j * np.arange(1, k + 1))
+                _assert_each_rel_close(postmeasure(stack, beta)[0].r,
+                                       _reference_conditioned_r(stack, beta), 1e-12,
+                                       f"n={n} z={z} k={k} |β|={size}")
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_routes_match_oracle(self, n):
+        descriptions = phased_descriptions(130 + n, n, 3, z_max=0.5, alpha_max=0.7)
+        stack = stack_branches(descriptions)
+        beta = np.array([0.8 - 0.5j])
+        for z in (0.3, -0.6):
+            post = apply_squeeze(stack, z, n)
+            for i, delta in enumerate(descriptions):
+                squeezed = fock_apply_gate(fock_from_description(delta), Squeeze(z, n))
+                want = complex(fock_project(squeezed, post.alpha[i])[0])
+                assert abs(post.r[i] - want) < 1e-8, f"squeezed r' of branch {i}, z={z}"
+        cond, _ = postmeasure(stack, beta)
+        for i, delta in enumerate(descriptions):
+            state = fock_from_description(delta)
+            overlap_with_label = complex(fock_project(state, cond.alpha[i])[0])
+            want = overlap_with_label / np.sqrt(fock_project(state, beta)[1])
+            assert abs(cond.r[i] - want) < 1e-8, f"conditioned r' of branch {i}"
