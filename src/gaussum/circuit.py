@@ -443,7 +443,7 @@ def simulate_approx(
         epsilon: relative accuracy of the density estimate.
         p_fail: failure budget (also used as the typicality budget δ).
         seed: estimator seed; a fresh one is drawn (and reported) if None.
-        workers: worker threads for the sampling loop, at least 1.
+        workers: worker threads taking whole sample blocks, at least 1.
         energy_override: use this post-measurement energy bound directly
             instead of deriving one, pinning the probe radius and sample
             count for reproducibility and skipping the O(χ²) derivation.

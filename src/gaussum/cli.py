@@ -29,7 +29,7 @@ from .circuit import (
     simulate_approx,
     simulate_exact,
 )
-from .overlaps import gram
+from .overlaps import GRAM_BLOCK, gram
 from .superposition import exact_norm, fast_norm, superposition_energy_exact
 
 EXIT_OK = 0
@@ -129,10 +129,10 @@ def _add_approx_options(sub: argparse.ArgumentParser) -> None:
                           "from the exact input energy, which costs an O(chi^2) "
                           "Gram matrix")
     sub.add_argument("--seed", type=int, default=None,
-                     help="estimator seed (fresh and reported if omitted)")
+                     help="estimator seed in [0, 2**128), fresh and reported if omitted")
     sub.add_argument("--workers", type=int, default=1,
-                     help="worker threads for the sampling loop, at least 1 "
-                          "(default 1)")
+                     help="worker threads, at least 1 (default 1); each takes whole "
+                          "blocks of %d samples" % GRAM_BLOCK)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -389,15 +389,20 @@ def random_symplectic_orthogonal(n: int, rng: np.random.Generator) -> np.ndarray
     return K
 
 
-def _uniform_complex_ball(n: int, radius: float, rng: np.random.Generator) -> np.ndarray:
-    """Sample α uniformly (Lebesgue) from the ball ‖α‖ ≤ radius in ℂⁿ."""
-    x = rng.standard_normal(2 * n)
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
-        return np.zeros(n, dtype=complex)
-    u = rng.random()
-    x *= radius * u ** (1.0 / (2 * n)) / norm
-    return x[0::2] + 1j * x[1::2]
+def _uniform_complex_ball(n: int, radius: float, rng: np.random.Generator,
+                          size: Optional[int] = None) -> np.ndarray:
+    """Sample α uniformly (Lebesgue) from the ball ‖α‖ ≤ radius in ℂⁿ.
+
+    With a size, draws size labels, shape (size, n): first all the normal
+    directions, then all the uniform radius factors.  The unsized ‖x‖ stays
+    the dot product √(x·x), so seeded labels keep their last bits.
+    """
+    x = rng.standard_normal((2 * n,) if size is None else (size, 2 * n))
+    norm = np.linalg.norm(x, axis=None if size is None else -1, keepdims=True)
+    u = rng.random(None if size is None else (size, 1))
+    # a zero direction stays the center
+    x *= radius * u ** (1.0 / (2 * n)) / np.where(norm > 0.0, norm, 1.0)
+    return x[..., 0::2] + 1j * x[..., 1::2]
 
 
 def random_pure_description(

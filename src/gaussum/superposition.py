@@ -20,9 +20,10 @@ come in two flavors:
   and the estimate lands within (1±ε)·‖Ψ‖² with probability at least
   1-p_fail.
 
-Sampling uses one counter-based stream per sample index, and each
-sample is reduced on its own, so results are bit-identical for a fixed
-seed no matter how samples are split across workers or kernel calls.
+Sampling uses one counter-based Philox stream per block of GRAM_BLOCK
+samples, and a block's probes are drawn and evaluated the same way
+whichever worker takes it, so results are bit-identical for a fixed seed
+and any worker count.
 """
 
 from __future__ import annotations
@@ -185,28 +186,20 @@ def fast_norm_parameters(energy_bound: float, epsilon: float, p_fail: float) -> 
     return FastNormParameters(radius, int(math.ceil(count)))
 
 
-def _probe_stack(n: int, seed: int, lo: int, hi: int, radius: float) -> BranchStack:
-    """The coherent probes α_ℓ, lo ≤ ℓ < hi, uniform in B_R, as one stack.
+def _probe_stack(n: int, seed: int, block: int, size: int, radius: float) -> BranchStack:
+    """The size coherent probes of stream block `block`, uniform in B_R, as one stack.
 
-    Sample ℓ draws from its own Philox stream (key seed, counter ℓ), so
-    each probe is the same whichever range it is stacked in.  One bit
-    generator serves the range: its state is reset to counter ℓ, with an
-    empty buffer, before sample ℓ, which gives the draws of a fresh
-    Philox(key=seed, counter=ℓ) without building one per sample.  The
-    stack holds the probes' common covariance Γ = I once (see
-    overlaps.BranchStack.take).
+    The block draws all its labels at once from its own Philox stream (key
+    seed, counter block in the top word).  The stack holds the probes'
+    common covariance Γ = I once (see overlaps.BranchStack.take).
     """
-    bitgen = np.random.Philox(key=seed)
-    draw = np.random.Generator(bitgen)
-    state = bitgen.state
-    counter = state["state"]["counter"]
-    alpha = np.empty((hi - lo, n), dtype=complex)
-    for i, ell in enumerate(range(lo, hi)):
-        counter[3] = ell
-        bitgen.state = state
-        alpha[i] = _uniform_complex_ball(n, radius, draw)
-    return BranchStack(np.eye(2 * n)[None], hat_d(alpha), alpha,
-                       np.ones(hi - lo, dtype=complex))
+    draw = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, block]))
+    alpha = _uniform_complex_ball(n, radius, draw, size)
+    return BranchStack(np.eye(2 * n)[None], hat_d(alpha), alpha, np.ones(size, dtype=complex))
+
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def fast_norm(psi: GaussianSuperposition, epsilon: float, p_fail: float,
@@ -215,13 +208,11 @@ def fast_norm(psi: GaussianSuperposition, epsilon: float, p_fail: float,
 
     Sample ℓ is X_ℓ = w·|Σ_j c_j ⟨α_ℓ, ψ_j⟩|² with α_ℓ uniform in the ball
     B_R and w = R²ⁿ/n!; the estimate is the mean of the L samples.  The
-    probes are drawn GRAM_BLOCK at a time, and the amplitudes ⟨α_ℓ, ψ_j⟩
-    of a run of them come from one cross-form gram call against
-    psi.branches, at most GRAM_BLOCK pairs (or one row) per call, so the
-    working memory does not grow with L.
-    Each row is reduced on its own, with an elementwise sum rather than a
-    matrix product, so X_ℓ does not depend on the samples it shares a call
-    with.
+    samples come in stream blocks of GRAM_BLOCK: block b holds samples
+    [b·GRAM_BLOCK, min((b+1)·GRAM_BLOCK, L)) and draws its probes at once
+    from its own stream.  The amplitudes ⟨α_ℓ, ψ_j⟩ of a block come from
+    cross-form gram calls against psi.branches, at most GRAM_BLOCK pairs
+    (or one row) per call, so the working memory does not grow with L.
 
     Args:
         psi: the superposition; cost is O(χ) per sample.
@@ -230,47 +221,47 @@ def fast_norm(psi: GaussianSuperposition, epsilon: float, p_fail: float,
         energy_bound: upper bound on ⟨H⟩ of the normalized state, with
             H = Σ_j(Q_j² + P_j² + 1); it fixes the probe-ball radius and
             the sample count.
-        seed: integer key of the counter-based generator.  Sample ℓ draws
-            from its own stream, so the result is bit-identical for any
+        seed: key of the counter-based generator, an integer in
+            [0, 2¹²⁸).  Block b draws from Philox(key=seed) with b in the
+            counter's top word, so the result is bit-identical for any
             worker count.
-        workers: threads filling disjoint sample ranges, at least 1.
+        workers: threads taking whole stream blocks, at least 1.  A run
+            of at most GRAM_BLOCK samples is one block and runs in the
+            calling thread.
 
     Returns:
         The estimate of the squared norm (not the norm).
 
     Raises:
-        ValidationError: the seed or the worker count is not an integer,
-            or the worker count is below 1.
+        ValidationError: the seed is not an integer in [0, 2¹²⁸), or the
+            worker count is not an integer of at least 1 (a bool is neither).
     """
-    if not isinstance(seed, (int, np.integer)):
-        raise ValidationError("fast_norm needs an integer seed")
-    if not isinstance(workers, (int, np.integer)) or workers < 1:
+    if not (_is_integer(seed) and 0 <= int(seed) < 2 ** 128):
+        raise ValidationError(f"fast_norm needs an integer seed in [0, 2**128), got {seed!r}")
+    if not (_is_integer(workers) and workers >= 1):
         raise ValidationError(f"need an integer worker count of at least 1, got {workers!r}")
     radius, samples = fast_norm_parameters(energy_bound, epsilon, p_fail)
     weight = radius ** (2 * psi.n) / math.factorial(psi.n)
     rows = max(1, GRAM_BLOCK // psi.chi)
     values = np.empty(samples, dtype=float)
 
-    def fill(lo: int, hi: int) -> None:
-        # probes are drawn GRAM_BLOCK at a time and evaluated `rows` per call
-        for chunk in range(lo, hi, GRAM_BLOCK):
-            probes = _probe_stack(psi.n, int(seed), chunk, min(chunk + GRAM_BLOCK, hi),
-                                  radius)
-            for start in range(0, probes.r.size, rows):
-                g = gram(probes.take(slice(start, start + rows)), psi.branches)
-                values[chunk + start:chunk + start + len(g)] = weight * np.abs(
-                    (g * psi.coeffs).sum(axis=1)) ** 2
+    def fill(block: int) -> None:
+        # one stream per block, not per gram call: a Philox set-up costs tens of µs
+        lo = block * GRAM_BLOCK
+        probes = _probe_stack(psi.n, int(seed), block, min(GRAM_BLOCK, samples - lo), radius)
+        for start in range(0, probes.r.size, rows):
+            g = gram(probes.take(slice(start, start + rows)), psi.branches)
+            values[lo + start:lo + start + len(g)] = weight * np.abs(
+                (g * psi.coeffs).sum(axis=1)) ** 2
 
-    workers = int(workers)
-    if workers == 1 or samples < 2 * workers:
-        fill(0, samples)
+    blocks = range(-(-samples // GRAM_BLOCK))
+    workers = min(int(workers), len(blocks))
+    if workers == 1:
+        for block in blocks:
+            fill(block)
     else:
-        bounds = np.linspace(0, samples, workers + 1).astype(int)
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fill, int(lo), int(hi))
-                       for lo, hi in zip(bounds[:-1], bounds[1:])]
-            for f in futures:
-                f.result()
+            list(pool.map(fill, blocks))
     # fixed-order reduction keeps the result independent of the worker split
     return float(np.sum(values) / samples)
 

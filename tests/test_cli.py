@@ -331,6 +331,18 @@ class TestErrorReporting:
         assert out == ""
         assert json.loads(err)["error"] == "validation"
 
+    @pytest.mark.parametrize("command", ["simulate", "norm"])
+    @pytest.mark.parametrize("seed", ["-1", str(2 ** 128)])
+    def test_seed_outside_key_range_is_validation_error(self, tmp_path, capsys,
+                                                        command, seed):
+        path = _write(tmp_path, "vac.json", VACUUM_MEASURED)
+        code, out, err = _run(capsys, [
+            command, "--circuit", path, "--method", "approx", "--seed", seed,
+            "--energy-bound", "2.0"])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        assert json.loads(err)["error"] == "validation"
+
     @pytest.mark.parametrize("flag, value", [
         ("--epsilon", "nan"), ("--epsilon", "inf"), ("--epsilon", "1e-300"),
         ("--energy-bound", "nan"), ("--energy-bound", "inf")])

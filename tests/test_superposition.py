@@ -3,6 +3,8 @@ updates, and energy bookkeeping."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
@@ -203,55 +205,81 @@ class TestFastNorm:
         mean = float(values.mean())
         assert abs(mean - 1.0) < 0.15, f"estimator mean {mean} off unit norm"
 
-    def test_worker_split_is_bitwise_identical(self):
+    def test_worker_split_is_bitwise_identical(self, monkeypatch):
+        # L = 141 is one stream block, which runs in the calling thread
         psi = _unnormalized_cat()
         energy = superposition_energy_exact(psi)
+        assert fast_norm_parameters(energy, 0.2, 0.25).samples <= GRAM_BLOCK
+        monkeypatch.setattr(superposition, "ThreadPoolExecutor", None)
         base = fast_norm(psi, 0.2, 0.25, energy, 11, workers=1)
-        for workers in (2, 4, 7):
+        for workers in (2, 3, 4, 7):
             value = fast_norm(psi, 0.2, 0.25, energy, 11, workers=workers)
             assert value == base, f"workers={workers}: {value} != {base}"
 
-    def test_seed_must_be_integer(self):
+    def test_worker_split_across_blocks_is_bitwise_identical(self):
+        # L = 1274 spans three stream blocks, the last one partial
         psi = _unnormalized_cat()
-        with pytest.raises(ValidationError):
-            fast_norm(psi, 0.2, 0.25, 4.0, "seed")
+        samples = fast_norm_parameters(4.0, 0.1, 0.25).samples
+        assert 2 * GRAM_BLOCK < samples < 3 * GRAM_BLOCK
+        base = fast_norm(psi, 0.1, 0.25, 4.0, 11, workers=1)
+        for workers in (2, 3, 7):
+            value = fast_norm(psi, 0.1, 0.25, 4.0, 11, workers=workers)
+            assert value == base, f"workers={workers}: {value} != {base}"
 
-    @pytest.mark.parametrize("workers", [0, -3])
+    def test_seed_must_be_integer(self):
+        # Philox keys are 128-bit; a bool is neither a seed nor a worker count
+        psi = _unnormalized_cat()
+        for seed in ("seed", 3.0, -1, 2 ** 128, True):
+            with pytest.raises(ValidationError):
+                fast_norm(psi, 0.2, 0.25, 4.0, seed)
+        with pytest.raises(ValidationError):
+            fast_norm(psi, 0.2, 0.25, 4.0, 1, workers=True)
+        for seed in (0, 2 ** 128 - 1, np.uint64(2 ** 64 - 1)):
+            assert np.isfinite(fast_norm(psi, 0.2, 0.25, 4.0, seed))
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.0])
     def test_worker_count_below_one_rejected(self, workers):
         psi = _unnormalized_cat()
         with pytest.raises(ValidationError):
             fast_norm(psi, 0.2, 0.25, 4.0, 1, workers=workers)
 
-    def test_probe_labels_match_fresh_generators_across_runs(self):
-        # One bit generator per run, reset per sample, must draw what a
-        # fresh Philox(key=seed, counter=ℓ) draws, wherever a run starts.
+    def test_block_probe_labels_match_per_sample_formula(self):
+        # Block b draws all its normals, then all its uniforms, from
+        # Philox(key=seed, counter=[0, 0, 0, b]); probe i is normal row i
+        # scaled to length R·u_i^{1/2n}.  Checked on a full block and a
+        # partial one.  The block's vectorized power and row norms may
+        # round differently from the scalar ones, by an ulp or two.
         seed, radius, n = 2 ** 61 + 12345, 3.5, 2
-        reference = np.stack([
-            _uniform_complex_ball(n, radius, np.random.Generator(
-                np.random.Philox(key=seed, counter=[0, 0, 0, ell])))
-            for ell in range(40)])
-        for bounds in ([0, 40], [0, 1, 17, 40], [0, 13, 14, 39, 40]):
-            runs = [superposition._probe_stack(n, seed, lo, hi, radius)
-                    for lo, hi in zip(bounds[:-1], bounds[1:])]
-            labels = np.concatenate([run.alpha for run in runs])
-            assert np.array_equal(labels, reference), f"runs split at {bounds}"
-            assert np.array_equal(np.concatenate([run.d for run in runs]),
-                                  hat_d(reference))
+        for block, size in ((0, GRAM_BLOCK), (3, 37)):
+            gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, block]))
+            x = gen.standard_normal((size, 2 * n)).tolist()
+            u = gen.random(size).tolist()
+            reference = []
+            for row, u_i in zip(x, u):
+                scale = radius * u_i ** (1.0 / (2 * n)) / math.sqrt(sum(v * v for v in row))
+                reference.append([complex(row[2 * k] * scale, row[2 * k + 1] * scale)
+                                  for k in range(n)])
+            probes = superposition._probe_stack(n, seed, block, size, radius)
+            assert probes.alpha.shape == (size, n)
+            np.testing.assert_allclose(probes.alpha, reference, rtol=1e-15, atol=0.0)
+            assert np.array_equal(probes.d, hat_d(probes.alpha))
+            assert np.array_equal(probes.gamma, np.eye(2 * n)[None])
 
     def test_stacked_probes_match_per_branch_loop(self):
         # n = 2, χ = 17 squeezed branches with complex reference overlaps and
-        # L = 48, so the L·χ = 816 probe pairs cross a GRAM_BLOCK boundary.
-        # The reference is the per-branch loop Σ_j c_j·overlap(α_ℓ, ψ_j) over
-        # the same Philox draws.
+        # L = 1274, so the samples span two full stream blocks and a partial
+        # one of 250, and each block ends in a gram call shorter than the
+        # 30 rows of the others.  The reference is the per-branch loop
+        # Σ_j c_j·overlap(α_ℓ, ψ_j) over the same Philox draws.
         rng = np.random.default_rng(2718)
         base = random_superposition(rng, n=2, chi=17, z_max=1.0)
         phases = np.exp(1j * rng.uniform(-np.pi, np.pi, size=base.chi))
         psi = GaussianSuperposition(base.coeffs, tuple(
             GaussianDescription(d.gamma, d.alpha, d.r * ph)
             for d, ph in zip(base.descriptions, phases)))
-        epsilon, p_fail, energy, seed = 0.3, 0.25, 4.0, 31337
+        epsilon, p_fail, energy, seed = 0.1, 0.25, 4.0, 31337
         radius, samples = fast_norm_parameters(energy, epsilon, p_fail)
-        assert samples * psi.chi > GRAM_BLOCK
+        assert 2 * GRAM_BLOCK < samples < 3 * GRAM_BLOCK
 
         estimates = [fast_norm(psi, epsilon, p_fail, energy, seed, workers=w)
                      for w in (1, 2, 3)]
@@ -260,11 +288,13 @@ class TestFastNorm:
 
         weight = radius ** 4 / 2.0
         total = 0.0
-        for ell in range(samples):
-            gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, ell]))
-            probe = coherent_description(_uniform_complex_ball(2, radius, gen))
-            amp = sum(c * overlap(probe, d) for c, d in psi.terms)
-            total += weight * abs(amp) ** 2
+        for block, lo in enumerate(range(0, samples, GRAM_BLOCK)):
+            gen = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, block]))
+            labels = _uniform_complex_ball(2, radius, gen, min(GRAM_BLOCK, samples - lo))
+            for label in labels:
+                probe = coherent_description(label)
+                amp = sum(c * overlap(probe, d) for c, d in psi.terms)
+                total += weight * abs(amp) ** 2
         reference = total / samples
         assert estimates[0] == pytest.approx(reference, rel=1e-12, abs=0.0)
 
