@@ -5,9 +5,11 @@ Each branch of a superposition is a pure Gaussian state described by its
 covariance matrix, coherent center label, and reference overlap against
 the coherent state at its own center; the reference overlap carries the
 branch's global phase through gates and measurements.  Outcome densities
-come either from the full Gram matrix of branch overlaps (exact, O(χ²)) or
-from a randomized coherent-probe estimator (O(χ) per sample) with an
-explicit accuracy guarantee.
+come either exactly, with the measured modes factored out of the norm (one
+row of χ overlaps against the outcome |β⟩ when every mode is measured, the
+Gram matrix of the conditioned branches on the 2(n−k) unmeasured
+dimensions when k < n), or from a randomized coherent-probe estimator
+(O(χ) per sample) with an explicit accuracy guarantee.
 """
 
 from .core import (

@@ -6,13 +6,17 @@ keys, malformed numbers, and out-of-range modes are rejected with errors
 that name the offending path (e.g. "gates[2].omega").  Complex numbers
 are written as [re, im] pairs throughout.
 
-simulate_exact evolves the branch stack (one call per gate), conditions
-it on the heterodyne outcome (one call), and evaluates the outcome density
-through the full Gram norm.  A "terms" document is parsed into one
-BranchStack and validated by one stacked call.
-The approximate driver replaces the Gram norm with the randomized
-estimator, deriving its probe parameters from an energy bound that is
-propagated through the gate list.
+simulate_exact evolves the branch stack (one call per gate) and evaluates
+the outcome density with the measured modes factored out of the norm (see
+superposition.measureprob_exact): one row of χ overlaps against |β⟩ when
+every mode is measured, else one conditioning call and the Gram matrix of
+the kept branches on the 2(n−k) unmeasured dimensions.  Its check that the
+input is normalized is one χ×χ Gram norm, so a run stays O(χ²) overall.
+A "terms" document is parsed into one BranchStack and validated by one
+stacked call.
+simulate_approx conditions the stack and replaces the Gram norm with the
+randomized estimator, deriving its probe parameters from an energy bound
+that is propagated through the gate list.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ from .overlaps import BranchStack
 from .states import appendix_d_state, cat_state, gkp_comb
 from .superposition import (
     GaussianSuperposition,
+    _require_unit_norm,
     circuit_energy_bound,
     exact_norm,
     fast_norm_parameters,
@@ -399,16 +404,19 @@ def _require_measure(spec: CircuitSpec) -> MeasureSpec:
 
 
 def simulate_exact(psi0: GaussianSuperposition, circuit: CircuitSpec) -> SimulationResult:
-    """Evolve and evaluate the outcome density with the O(χ²) Gram norm.
+    """Evolve and evaluate the outcome density exactly.
+
+    The density itself is O(χ) when every mode is measured and a Gram
+    matrix on the 2(n−k) unmeasured dimensions when k < n (see
+    measureprob_exact).  The check that psi0 is normalized is the O(χ²)
+    Gram norm of psi0, so the run as a whole stays O(χ²).
 
     Raises:
-        ValidationError: the input state is not normalized within 1e-6.
+        ValidationError: the input state is not normalized within
+            UNIT_NORM_TOL (1e-6).
     """
     measure = _require_measure(circuit)
-    norm = exact_norm(psi0)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValidationError(
-            f"initial state must be normalized, got ‖Ψ₀‖ = {norm:.9g}")
+    _require_unit_norm(exact_norm(psi0))
     p = measureprob_exact(evolve(psi0, circuit.gates), measure.beta)
     return SimulationResult(p=p, method="exact")
 
@@ -434,8 +442,12 @@ def simulate_approx(
 
     Deriving the bound is not O(χ): the exact input energy takes one χ×χ
     Gram matrix plus the χ×χ energy matrix, O(χ²) pair evaluations, which
-    outweighs the estimator itself at large χ.  Pass energy_override to
-    skip it; the run is then O(χ) per sample throughout.
+    outweighs the estimator itself at large χ.  The same Gram matrix gives
+    ‖Ψ₀‖, and an input that is not normalized within UNIT_NORM_TOL is
+    rejected as in simulate_exact.  Pass energy_override to skip the
+    derivation; the run is then O(χ) per sample throughout, and psi0 being
+    normalized is a precondition that is not checked: an unnormalized psi0
+    scales the estimate by ‖Ψ₀‖².
 
     Args:
         psi0: initial superposition.
@@ -446,7 +458,12 @@ def simulate_approx(
         workers: worker threads taking whole sample blocks, at least 1.
         energy_override: use this post-measurement energy bound directly
             instead of deriving one, pinning the probe radius and sample
-            count for reproducibility and skipping the O(χ²) derivation.
+            count for reproducibility and skipping the O(χ²) derivation
+            and the normalization check with it.
+
+    Raises:
+        ValidationError: without energy_override, psi0 is not normalized
+            within UNIT_NORM_TOL (1e-6).
     """
     measure = _require_measure(circuit)
     if seed is None:
@@ -454,7 +471,8 @@ def simulate_approx(
     if energy_override is not None:
         e_tilde = float(energy_override)
     else:
-        energy_bound = circuit_energy_bound(superposition_energy_exact(psi0), circuit.gates)
+        energy_bound = circuit_energy_bound(
+            superposition_energy_exact(psi0, unit_norm=True), circuit.gates)
         e_tilde = typical_parameters(energy_bound, p_fail).e_tilde
     radius, samples = fast_norm_parameters(e_tilde, epsilon, p_fail)
     p = measureprob_approx(evolve(psi0, circuit.gates), measure.beta, epsilon, p_fail,

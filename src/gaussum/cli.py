@@ -125,9 +125,10 @@ def _add_approx_options(sub: argparse.ArgumentParser) -> None:
                      help="failure budget of the estimator (default 0.1)")
     sub.add_argument("--energy-bound", type=float, default=None, dest="energy_bound",
                      help="override the estimator's energy bound, pinning its "
-                          "probe radius and sample count; if omitted it is derived "
-                          "from the exact input energy, which costs an O(chi^2) "
-                          "Gram matrix")
+                          "probe radius and sample count; the input must then be "
+                          "normalized, which is not checked. If omitted the bound "
+                          "is derived from the exact input energy, which costs an "
+                          "O(chi^2) Gram matrix that also checks the input's norm")
     sub.add_argument("--seed", type=int, default=None,
                      help="estimator seed in [0, 2**128), fresh and reported if omitted")
     sub.add_argument("--workers", type=int, default=1,

@@ -20,6 +20,13 @@ come in two flavors:
   and the estimate lands within (1±ε)·‖Ψ‖² with probability at least
   1-p_fail.
 
+Exact outcome densities factor the measured modes out of the norm, since
+heterodyning leaves them in exactly |β⟩ in every branch (see
+measureprob_exact): with every mode measured the density is one row of χ
+overlaps against |β⟩, O(χ); with k < n modes measured it is exact_norm of
+the conditioned branches' unmeasured blocks, a Gram matrix on
+2(n−k)-dimensional covariances.
+
 Sampling uses one counter-based Philox stream per block of GRAM_BLOCK
 samples, and a block's probes are drawn and evaluated the same way
 whichever worker takes it, so results are bit-identical for a fixed seed
@@ -50,6 +57,8 @@ from .measurement import postmeasure
 from .overlaps import (
     GRAM_BLOCK,
     BranchStack,
+    _fidelity,
+    _shared,
     energy_gram,
     gram,
     gram_defect,
@@ -58,6 +67,9 @@ from .overlaps import (
 
 #: Largest tolerated | |G_kj|² - pair_fidelity(ψ_k, ψ_j) | in a Gram matrix.
 GRAM_FIDELITY_TOL = 1e-8
+
+#: Largest tolerated |‖Ψ₀‖ - 1| of the input state of a simulation.
+UNIT_NORM_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,14 +132,19 @@ class GaussianSuperposition:
         return list(zip(self.coeffs, self.descriptions))
 
 
-def _checked_gram(psi: GaussianSuperposition) -> np.ndarray:
-    """gram(psi.branches), each computed entry checked as exact_norm says."""
-    g = gram(psi.branches)
-    defect = gram_defect(psi.branches, g)
+def _require_fidelity(defect: float) -> None:
+    """Raise NumericError when a Gram entry misses its pair fidelity by more
+    than GRAM_FIDELITY_TOL."""
     if defect > GRAM_FIDELITY_TOL:
         raise NumericError(
             f"Gram entry misses its pair fidelity by {defect:.3e} "
             f"(tolerance {GRAM_FIDELITY_TOL:.0e})")
+
+
+def _checked_gram(psi: GaussianSuperposition) -> np.ndarray:
+    """gram(psi.branches), each computed entry checked as exact_norm says."""
+    g = gram(psi.branches)
+    _require_fidelity(gram_defect(psi.branches, g))
     return g
 
 
@@ -289,15 +306,61 @@ def post_measurement_superposition(
     return GaussianSuperposition(coeffs[keep], conditioned.take(keep))
 
 
+def _projected_norm_sq(psi: GaussianSuperposition, outcome: np.ndarray) -> float:
+    """‖Π_β Ψ‖² with the k measured modes factored out of the norm.
+
+    Heterodyning leaves the measured modes of every branch in exactly |β⟩,
+    so Π_β Ψ = |β⟩ ⊗ Σ_j c'_j φ_j and ‖Π_β Ψ‖ = ‖Σ_j c'_j φ_j‖:
+
+    * k = n: Π_β Ψ = |β⟩⟨β, Ψ⟩, and the norm is |Σ_j c_j ⟨β, ψ_j⟩|, one
+      cross-form gram row of the coherent |β⟩ (Γ = I, r = 1) against the
+      stack, each entry checked against the phase-free pair fidelity.
+      There is no conditioning, no Gram matrix and no branch dropping.
+    * k < n: φ_j is the unmeasured block of the conditioned branch j,
+      (Γ_BB, α'_B, r'), with r' unchanged since ⟨β, β⟩ = 1; the sliced
+      stack is normed by exact_norm on 2(n−k)-dimensional covariances.
+
+    Raises:
+        ValidationError: the outcome has no modes or more than the state.
+        NumericError: a computed overlap misses its pair fidelity (see
+            exact_norm).
+    """
+    n = psi.n
+    if outcome.size == n:
+        probe = BranchStack(np.eye(2 * n)[None], hat_d(outcome)[None], outcome[None],
+                            np.ones(1, dtype=complex))
+        branches = _shared(psi.branches)
+        # the fidelity first: it rejects a covariance sum that is not
+        # positive definite with a ValidationError, as conditioning does
+        fidelity = _fidelity(probe, branches)
+        row = gram(probe, branches)[0]
+        _require_fidelity(float(np.max(np.abs(np.abs(row) ** 2 - fidelity))))
+        return float(np.abs((psi.coeffs * row).sum()) ** 2)
+    post = post_measurement_superposition(psi, outcome)
+    k = outcome.size
+    gamma, d, alpha, r = post.branches
+    unmeasured = BranchStack(gamma[:, 2 * k:, 2 * k:], d[:, 2 * k:], alpha[:, k:], r)
+    return exact_norm(GaussianSuperposition(post.coeffs, unmeasured)) ** 2
+
+
 def measureprob_exact(psi: GaussianSuperposition, outcome: np.ndarray) -> float:
     """Heterodyne outcome density of Ψ at the given outcome, exactly.
 
-    p(β) = ‖Π_β Ψ‖² / πᵏ, evaluated through the post-measurement
-    superposition and the exact Gram norm: O(χ²) overlaps.
+    p(β) = ‖Π_β Ψ‖² / πᵏ with the k measured modes factored out of the
+    norm.  When every mode is measured (k = n), p(β) = |Σ_j c_j ⟨β, ψ_j⟩|²/πⁿ
+    is one row of χ overlaps: O(χ).  When k < n, the branches are
+    conditioned on β (see post_measurement_superposition) and their
+    unmeasured blocks are normed by the Gram matrix of the χ' kept
+    branches on 2(n−k)-dimensional covariances: O(χ'²).
+
+    Raises:
+        ValidationError: the outcome has no modes or more than the state.
+        NumericError: a computed overlap misses its pair fidelity by more
+            than GRAM_FIDELITY_TOL (see exact_norm).
+        PhaseRecoveryError: a reference overlap is zero.
     """
     outcome = np.asarray(outcome, dtype=complex).reshape(-1)
-    post = post_measurement_superposition(psi, outcome)
-    return float(exact_norm(post) ** 2 / np.pi ** outcome.size)
+    return float(_projected_norm_sq(psi, outcome) / np.pi ** outcome.size)
 
 
 def measureprob_approx(psi: GaussianSuperposition, outcome: np.ndarray,
@@ -363,7 +426,15 @@ def circuit_energy_bound(energy: float, gates: Sequence[Gate]) -> float:
     return float(bound)
 
 
-def superposition_energy_exact(psi: GaussianSuperposition) -> float:
+def _require_unit_norm(norm: float) -> None:
+    """Raise ValidationError unless |‖Ψ‖ − 1| ≤ UNIT_NORM_TOL."""
+    if abs(norm - 1.0) > UNIT_NORM_TOL:
+        raise ValidationError(
+            f"initial state must be normalized, got ‖Ψ₀‖ = {norm:.9g}")
+
+
+def superposition_energy_exact(psi: GaussianSuperposition, *,
+                               unit_norm: bool = False) -> float:
     """⟨H⟩ of the normalized superposition, H = Σ_j(Q_j² + P_j² + 1).
 
     Exact for every mode count, in closed form: ⟨Ψ|H|Ψ⟩ = Σ_kj c̄_k c_j H_kj
@@ -372,10 +443,16 @@ def superposition_energy_exact(psi: GaussianSuperposition) -> float:
     covariance stage of the pair kernel as the Gram entry G_kj; the
     diagonal holds the branch energies ½·tr Γ + dᵀd + n.
 
+    Args:
+        psi: the superposition, not necessarily normalized.
+        unit_norm: also require ‖Ψ‖ = 1 within UNIT_NORM_TOL, read off the
+            same Gram matrix (see _require_unit_norm).
+
     Raises:
         ValidationError: ‖Ψ‖² does not exceed the rounding bound of its
             own χ²-term sum, 4χ²·ε·Σ_kj |c_k c_j G_kj| with ε the machine
-            epsilon, so Ψ is zero to double precision and has no ⟨H⟩.
+            epsilon, so Ψ is zero to double precision and has no ⟨H⟩; or
+            unit_norm is set and ‖Ψ‖ is not 1.
         NumericError: a Gram entry misses its pair fidelity (see exact_norm).
     """
     g = _checked_gram(psi)
@@ -386,4 +463,6 @@ def superposition_energy_exact(psi: GaussianSuperposition) -> float:
         raise ValidationError(
             f"the superposition has ‖Ψ‖² = {norm_sq:.3e}, within the rounding "
             f"{floor:.1e} of its Gram sum: it is zero and has no energy")
+    if unit_norm:
+        _require_unit_norm(math.sqrt(norm_sq))
     return _quadratic_form(psi.coeffs, energy_gram(psi.branches, g)) / norm_sq

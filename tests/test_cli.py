@@ -156,6 +156,36 @@ class TestSimulate:
         assert payload["R"] == 2.0
         assert payload["L"] == 6
 
+    @pytest.mark.parametrize("method", ["exact", "approx"])
+    def test_unnormalized_input_is_validation_error(self, tmp_path, capsys, method):
+        # coefficient 2 on the vacuum: ‖Ψ₀‖ = 2; the approximate run reads it
+        # off the Gram matrix that derives its energy bound
+        doc = json.loads(VACUUM_MEASURED)
+        doc["state"]["terms"][0]["coeff"] = [2.0, 0.0]
+        path = _write(tmp_path, "doubled.json", json.dumps(doc))
+        code, out, err = _run(capsys, [
+            "simulate", "--circuit", path, "--method", method, "--seed", "1"])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "validation" and "normalized" in diag["message"]
+
+    def test_energy_bound_leaves_normalization_unchecked(self, tmp_path, capsys):
+        # With --energy-bound a normalized input is a precondition: the run
+        # succeeds, and coefficient 2 scales every sample, so p, by 4.
+        doc = json.loads(VACUUM_MEASURED)
+        argv = ["--method", "approx", "--seed", "1", "--epsilon", "0.5",
+                "--p-fail", "0.25", "--energy-bound", "3.0"]
+        _, out, _ = _run(capsys, ["simulate", "--circuit",
+                                  _write(tmp_path, "vac.json", json.dumps(doc))] + argv)
+        doc["state"]["terms"][0]["coeff"] = [2.0, 0.0]
+        code, doubled, _ = _run(capsys, ["simulate", "--circuit",
+                                         _write(tmp_path, "doubled.json", json.dumps(doc))]
+                                + argv)
+        assert code == EXIT_OK
+        assert json.loads(doubled)["p"] == pytest.approx(4.0 * json.loads(out)["p"],
+                                                         rel=1e-12)
+
     def test_negligible_branch_dropped_silently(self, tmp_path, capsys):
         # At β = 26 the vacuum branch weighs e^{-338} of the bright one: it is
         # dropped, p is the closed form, and the schema stays {p, method}.

@@ -11,7 +11,7 @@ from scipy.linalg import block_diag
 
 from conftest import phased_descriptions, random_superposition
 
-from gaussum import superposition
+from gaussum import overlaps, superposition
 
 from gaussum.circuit import evolve
 from gaussum.core import (
@@ -19,6 +19,7 @@ from gaussum.core import (
     Displacement,
     GaussianDescription,
     NumericError,
+    PhaseRecoveryError,
     PhaseShift,
     Squeeze,
     ValidationError,
@@ -388,6 +389,99 @@ class TestMeasureprob:
         expected = fock_heterodyne_density(fock_from_superposition(cat.terms),
                                            np.array([0.0j]))
         assert abs(p - expected) < 1e-7, f"{p} vs {expected}"
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 1), (2, 2)])
+    def test_factored_density_matches_oracle(self, n, k):
+        # random squeezed branches, then a squeeze, a beamsplitter (n = 2)
+        # and a displacement: the density with the measured modes factored
+        # out matches the oracle, and the full post-measurement Gram norm
+        # to rounding
+        rng = np.random.default_rng(700 + 10 * n + k)
+        for case in range(4):
+            psi = random_superposition(rng, n=n, chi=2 + case % 3, z_max=0.6,
+                                       alpha_max=0.6, normalize=True)
+            gates = [Squeeze(float(rng.uniform(-0.6, 0.6)), n),
+                     Displacement(0.4 * (rng.random(n) - 0.5 + 1j * (rng.random(n) - 0.5)))]
+            if n == 2:
+                gates.insert(1, Beamsplitter(float(rng.uniform(0.0, np.pi)), 1, 2))
+            evolved = evolve(psi, gates)
+            beta = 0.6 * (rng.standard_normal(k) + 1j * rng.standard_normal(k))
+            p = measureprob_exact(evolved, beta)
+            post = post_measurement_superposition(evolved, beta)
+            assert p == pytest.approx(exact_norm(post) ** 2 / np.pi ** k, rel=1e-12, abs=0.0)
+            expected = fock_heterodyne_density(fock_from_superposition(evolved.terms), beta)
+            assert abs(p - expected) < 1e-8, f"case {case}: {p} vs oracle {expected}"
+
+    @pytest.mark.parametrize("n, chi", [(1, 7), (2, 6), (1, GRAM_BLOCK + 3)])
+    def test_every_mode_measured_is_one_row(self, monkeypatch, n, chi):
+        # k = n: χ pairs of |β⟩ against the stack, and no conditioning
+        pairs = []
+        kernel = overlaps._pair_overlaps
+
+        def counted(a, b):
+            values = kernel(a, b)
+            pairs.append(np.size(values))
+            return values
+
+        def refused(*args):
+            raise AssertionError("postmeasure called with every mode measured")
+
+        psi = random_superposition(720 + chi, n=n, chi=chi, z_max=0.6, alpha_max=0.8)
+        monkeypatch.setattr(overlaps, "_pair_overlaps", counted)
+        monkeypatch.setattr(superposition, "postmeasure", refused)
+        measureprob_exact(psi, np.full(n, 0.3 - 0.2j))
+        assert sum(pairs) == chi, f"{sum(pairs)} pairs at χ={chi}"
+
+    def test_unmeasured_modes_are_normed_alone(self, monkeypatch):
+        # n = 2, k = 1: the χ'(χ'-1)/2 pairs of the kept branches, each on the
+        # 2-dimensional covariance of the unmeasured mode
+        shapes = []
+        kernel = overlaps._pair_overlaps
+
+        def counted(a, b):
+            values = kernel(a, b)
+            shapes.append((np.size(values), a.gamma.shape[-1], b.gamma.shape[-1]))
+            return values
+
+        psi = random_superposition(730, n=2, chi=9, z_max=0.6, alpha_max=0.8)
+        beta = np.array([0.2 + 0.1j])
+        kept = post_measurement_superposition(psi, beta).chi
+        monkeypatch.setattr(overlaps, "_pair_overlaps", counted)
+        measureprob_exact(psi, beta)
+        assert sum(size for size, _, _ in shapes) == kept * (kept - 1) // 2
+        assert {shape[1:] for shape in shapes} == {(2, 2)}
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_row_rejects_wrong_reference_magnitude(self, n):
+        # as in exact_norm: |r| is fixed by Γ, and scaling one branch's r
+        # by 1.1 makes |⟨β, ψ_j⟩|² miss the pair fidelity
+        psi = random_superposition(740 + n, n=n, chi=3, z_max=0.6, alpha_max=0.6)
+        ds = list(psi.descriptions)
+        bad = ds[1]
+        ds[1] = GaussianDescription(bad.gamma, bad.alpha, 1.1 * bad.r)
+        with pytest.raises(NumericError):
+            measureprob_exact(GaussianSuperposition(psi.coeffs, tuple(ds)), bad.alpha)
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (2, 1)])
+    def test_zero_reference_overlap_raises(self, n, k):
+        psi = random_superposition(750 + n, n=n, chi=3, z_max=0.6, alpha_max=0.6)
+        ds = list(psi.descriptions)
+        ds[2] = GaussianDescription(ds[2].gamma, ds[2].alpha, 0.0)
+        with pytest.raises(PhaseRecoveryError):
+            measureprob_exact(GaussianSuperposition(psi.coeffs, tuple(ds)),
+                              np.full(k, 0.1 + 0.1j))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_outcome_mode_count_validated(self, n):
+        psi = random_superposition(760 + n, n=n, chi=2, z_max=0.6, alpha_max=0.6)
+        for k in (0, n + 1):
+            with pytest.raises(ValidationError):
+                measureprob_exact(psi, np.zeros(k, dtype=complex))
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_far_two_mode_outcome_reads_zero(self, k):
+        psi = random_superposition(770, n=2, chi=3, z_max=0.6, alpha_max=0.6)
+        assert measureprob_exact(psi, np.full(k, 60.0 + 0.0j)) == 0.0
 
     def test_approx_vacuum_success_rate(self):
         psi = GaussianSuperposition(np.array([1.0 + 0j]), (vacuum_description(1),))
