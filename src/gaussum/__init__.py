@@ -9,7 +9,8 @@ come either exactly, with the measured modes factored out of the norm (one
 row of χ overlaps against the outcome |β⟩ when every mode is measured, the
 Gram matrix of the conditioned branches on the 2(n−k) unmeasured
 dimensions when k < n), or from a randomized coherent-probe estimator
-(O(χ) per sample) with an explicit accuracy guarantee.
+(O(χ) per sample) whose parameters target a (1 ± ε) accuracy at failure
+probability p_fail, not yet certified (see fast_norm_parameters).
 """
 
 from .core import (

@@ -36,7 +36,6 @@ from .core import (
     Squeeze,
     ValidationError,
     _log_reference_magnitude,
-    hat_d,
     validate_description,
 )
 from .evolution import apply_unitary
@@ -203,7 +202,7 @@ def _term_stack(parsed: list, path: str) -> BranchStack:
     if missing.any():
         # NaN for a covariance with det(I + Γ) ≤ 0, which validation rejects
         r[missing] = np.exp(_log_reference_magnitude(gamma[missing]))
-    stack = BranchStack(gamma, hat_d(alpha), alpha, r)
+    stack = BranchStack(gamma, alpha, r)
     report = validate_description(stack)
     bad = np.flatnonzero(~report.ok)
     if bad.size:

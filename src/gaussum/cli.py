@@ -3,7 +3,8 @@
 Subcommands:
     simulate      outcome density of a measured circuit (exact or approx)
     norm          norm of the state after the gate list
-    overlap       overlap between the evolved states of two circuits
+    overlap       overlap between the evolved states of two circuits, each
+                  cross Gram entry checked against the pair fidelity
     state         canonicalize a circuit document to explicit terms form
     oracle-check  compare the exact density against the number-basis oracle
 
@@ -29,8 +30,9 @@ from .circuit import (
     simulate_approx,
     simulate_exact,
 )
-from .overlaps import GRAM_BLOCK, gram
-from .superposition import exact_norm, fast_norm, superposition_energy_exact
+from .overlaps import GRAM_BLOCK
+from .superposition import (_checked_cross_gram, exact_norm, fast_norm,
+                            superposition_energy_exact)
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -87,7 +89,8 @@ def cmd_overlap(args: argparse.Namespace) -> int:
             f"circuits act on {spec_a.modes} and {spec_b.modes} modes")
     ev_a = evolve(psi_a, spec_a.gates)
     ev_b = evolve(psi_b, spec_b.gates)
-    total = np.conj(ev_a.coeffs) @ gram(ev_a.branches, ev_b.branches) @ ev_b.coeffs
+    g = _checked_cross_gram(ev_a.branches, ev_b.branches)
+    total = np.conj(ev_a.coeffs) @ g @ ev_b.coeffs
     _emit({"overlap": [total.real, total.imag], "magnitude": abs(total)})
     return EXIT_OK
 
@@ -122,7 +125,8 @@ def _add_approx_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--epsilon", type=float, default=0.1,
                      help="relative accuracy of the estimator (default 0.1)")
     sub.add_argument("--p-fail", type=float, default=0.1, dest="p_fail",
-                     help="failure budget of the estimator (default 0.1)")
+                     help="failure probability the estimator targets, not yet "
+                          "certified: measured miss rates exceed it (default 0.1)")
     sub.add_argument("--energy-bound", type=float, default=None, dest="energy_bound",
                      help="override the estimator's energy bound, pinning its "
                           "probe radius and sample count; the input must then be "

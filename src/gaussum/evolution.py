@@ -11,9 +11,9 @@ overlap of the overlaps kernel, with equal centers.
 
 Every gate acts on a whole BranchStack per call: the branches of a
 superposition are updated together, with the gate's S and label map
-broadcast over the stack's leading axes.  A GaussianDescription is the
-stack with no leading axis and runs the same code; it comes back as a
-GaussianDescription.
+broadcast over the stack's leading axes; a stack holding one covariance
+keeps one.  A GaussianDescription is the stack with no leading axis and
+runs the same code; it comes back as a GaussianDescription.
 """
 
 from __future__ import annotations
@@ -28,9 +28,8 @@ from .core import (
     Squeeze,
     ValidationError,
     gate_symplectic,
-    hat_d,
 )
-from .overlaps import BranchStack, _as_stack, _log_pair_overlaps, _same_kind, _shared
+from .overlaps import BranchStack, _log_pair_overlaps, _same_kind
 
 
 def _congruence(s: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -45,27 +44,22 @@ def apply_displacement(delta, beta: np.ndarray):
     r' = ⟨α - β, D(β)ψ⟩ = e^{i·Im(αᵀβ̄)} · r.  delta is a description or a
     BranchStack; the result is of the same kind.
     """
-    stack = _as_stack(delta)
-    n = stack.alpha.shape[-1]
+    n = delta.alpha.shape[-1]
     beta = np.asarray(beta, dtype=complex).reshape(-1)
     if beta.size != n:
         raise ValidationError(
             f"displacement label has {beta.size} modes, state has {n}")
-    phase = np.exp(1j * np.imag(stack.alpha @ np.conj(beta)))
-    alpha = stack.alpha - beta
-    return _same_kind(delta, BranchStack(stack.gamma, hat_d(alpha), alpha,
-                                         stack.r * phase))
+    phase = np.exp(1j * np.imag(delta.alpha @ np.conj(beta)))
+    return _same_kind(delta, BranchStack(delta.gamma, delta.alpha - beta, delta.r * phase))
 
 
 def apply_phaseshift(delta, phi: float, j: int):
     """Phase shift on mode j: α_j → e^{-iφ}α_j; r is unchanged."""
-    stack = _as_stack(delta)
     gate = PhaseShift(float(phi), j)
-    s, _ = gate_symplectic(gate, stack.alpha.shape[-1])
-    alpha = stack.alpha.copy()
+    s, _ = gate_symplectic(gate, delta.alpha.shape[-1])
+    alpha = delta.alpha.copy()
     alpha[..., j - 1] *= np.exp(-1j * gate.phi)
-    return _same_kind(delta, BranchStack(_congruence(s, stack.gamma), hat_d(alpha),
-                                         alpha, stack.r))
+    return _same_kind(delta, BranchStack(_congruence(s, delta.gamma), alpha, delta.r))
 
 
 def apply_beamsplitter(delta, omega: float, j: int, k: int):
@@ -74,16 +68,14 @@ def apply_beamsplitter(delta, omega: float, j: int, k: int):
     The coherent-to-coherent label map carries no extra phase, so r is
     unchanged.
     """
-    stack = _as_stack(delta)
     gate = Beamsplitter(float(omega), j, k)
-    s, _ = gate_symplectic(gate, stack.alpha.shape[-1])
+    s, _ = gate_symplectic(gate, delta.alpha.shape[-1])
     c, sn = np.cos(gate.omega), np.sin(gate.omega)
-    aj, ak = stack.alpha[..., j - 1], stack.alpha[..., k - 1]
-    alpha = stack.alpha.copy()
+    aj, ak = delta.alpha[..., j - 1], delta.alpha[..., k - 1]
+    alpha = delta.alpha.copy()
     alpha[..., j - 1] = c * aj - 1j * sn * ak
     alpha[..., k - 1] = c * ak - 1j * sn * aj
-    return _same_kind(delta, BranchStack(_congruence(s, stack.gamma), hat_d(alpha),
-                                         alpha, stack.r))
+    return _same_kind(delta, BranchStack(_congruence(s, delta.gamma), alpha, delta.r))
 
 
 def apply_squeeze(delta, z: float, j: int):
@@ -93,21 +85,19 @@ def apply_squeeze(delta, z: float, j: int):
     S†|α'⟩ = D(α)S†|0⟩ is the description (S⁻¹S⁻ᵀ, α, 1/√cosh z), α being
     ψ's own pre-gate label (the anchor of states._squeezed_description), so
     r' is one pair overlap with δ = 0.  S⁻¹S⁻ᵀ is the same for every
-    branch, so a stack whose covariances are all equal runs one covariance
-    stage per gate.
+    branch, so a stack holding one covariance runs one covariance stage per
+    gate.
     """
-    stack = _as_stack(delta)
     gate = Squeeze(float(z), j)
-    s, _ = gate_symplectic(gate, stack.alpha.shape[-1])
+    s, _ = gate_symplectic(gate, delta.alpha.shape[-1])
     # S is diagonal, so S⁻¹S⁻ᵀ is diag(S)⁻², exactly symmetric
-    anchor = BranchStack(np.diag(np.diag(s) ** -2.0), stack.d, stack.alpha,
+    anchor = BranchStack(np.diag(np.diag(s) ** -2.0), delta.alpha,
                          1.0 / np.sqrt(np.cosh(gate.z)))
-    r_new = np.exp(_log_pair_overlaps(anchor, _shared(stack)))
-    aj = stack.alpha[..., j - 1]
-    alpha = stack.alpha.copy()
+    r_new = np.exp(_log_pair_overlaps(anchor, delta))
+    aj = delta.alpha[..., j - 1]
+    alpha = delta.alpha.copy()
     alpha[..., j - 1] = aj * np.cosh(gate.z) - np.conj(aj) * np.sinh(gate.z)
-    return _same_kind(delta, BranchStack(_congruence(s, stack.gamma), hat_d(alpha),
-                                         alpha, r_new))
+    return _same_kind(delta, BranchStack(_congruence(s, delta.gamma), alpha, r_new))
 
 
 def apply_unitary(delta, g: Gate):

@@ -22,8 +22,9 @@ the double range reads 0.0 instead of failing.
 
 Every function here takes a GaussianDescription or a whole BranchStack.
 A stack is conditioned on one outcome in one call, its blocks, Schur
-complements and pair overlaps stacked along its leading axes; a
-description is the stack with no leading axis and runs the same code.
+complements and pair overlaps stacked along its leading axes; a stack
+holding one covariance is conditioned into one.  A description is the
+stack with no leading axis and runs the same code.
 """
 
 from __future__ import annotations
@@ -33,17 +34,15 @@ import numpy as np
 from .core import ValidationError, hat_d, hat_d_inv
 from .overlaps import (
     BranchStack,
-    _as_stack,
     _dot,
     _log_pair_overlaps,
     _mv,
     _same_kind,
     _scalar_or_array,
-    _shared,
 )
 
 
-def _measured_blocks(stack: BranchStack, outcome: np.ndarray):
+def _measured_blocks(stack, outcome: np.ndarray):
     """(outcome, k, (Γ_A + I)⁻¹, log p) for heterodyning the leading k modes,
     the inverse and log p stacked over the stack's leading axes."""
     n = stack.alpha.shape[-1]
@@ -67,7 +66,7 @@ def heterodyne_density(delta, outcome: np.ndarray):
 
     A float for a description, an array over the stack for a BranchStack.
     """
-    return _scalar_or_array(np.exp(_measured_blocks(_as_stack(delta), outcome)[3]))
+    return _scalar_or_array(np.exp(_measured_blocks(delta, outcome)[3]))
 
 
 def postmeasure(delta, outcome: np.ndarray):
@@ -93,13 +92,12 @@ def postmeasure(delta, outcome: np.ndarray):
             or some measured block Γ_A + I is not positive definite.
         PhaseRecoveryError: a reference overlap of the input is zero.
     """
-    stack = _as_stack(delta)
-    outcome, k, minv, log_p = _measured_blocks(stack, outcome)
-    n = stack.alpha.shape[-1]
-    gamma = stack.gamma
+    outcome, k, minv, log_p = _measured_blocks(delta, outcome)
+    n = delta.alpha.shape[-1]
+    gamma = delta.gamma
     gab = gamma[..., : 2 * k, 2 * k:]
     gba_minv = np.swapaxes(gab, -1, -2) @ minv
-    sa, sb = stack.d[..., : 2 * k], stack.d[..., 2 * k:]
+    sa, sb = np.split(delta.d, [2 * k], axis=-1)
     schur = gamma[..., 2 * k:, 2 * k:] - gba_minv @ gab
     gamma_new = np.broadcast_to(np.eye(2 * n), gamma.shape).copy()
     gamma_new[..., 2 * k:, 2 * k:] = 0.5 * (schur + np.swapaxes(schur, -1, -2))
@@ -107,9 +105,7 @@ def postmeasure(delta, outcome: np.ndarray):
     d_new = np.concatenate([np.broadcast_to(db, sa.shape), sb + _mv(gba_minv, db - sa)],
                            axis=-1)
     alpha_new = hat_d_inv(d_new)
-    d_new = hat_d(alpha_new)
-    log_r = _log_pair_overlaps(BranchStack(np.eye(2 * n), d_new, alpha_new, 1.0),
-                               _shared(stack))
+    log_r = _log_pair_overlaps(BranchStack(np.eye(2 * n), alpha_new, 1.0), delta)
     r_new = np.exp(log_r - 0.5 * (k * np.log(np.pi) + log_p))
-    post = BranchStack(gamma_new, d_new, alpha_new, r_new)
+    post = BranchStack(gamma_new, alpha_new, r_new)
     return _same_kind(delta, post), _scalar_or_array(np.exp(log_p))

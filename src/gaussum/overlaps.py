@@ -17,10 +17,10 @@ one pair overlap each (see evolution.apply_squeeze and
 measurement.postmeasure), and conditioning divides the outcome norm out in
 log space, so no anchor is ever too small to divide by.
 
-A stack whose covariances are all equal enters the kernel with one
-covariance (see _shared), so coherent chains, cats and probes pay for one
-covariance stage per kernel call; a stack with one covariance per branch
-runs the same code with one covariance stage per pair.
+A stack holding one covariance (see BranchStack) broadcasts it over every
+branch, so coherent chains, cats and probes pay for one covariance stage
+per kernel call; a stack with one covariance per branch runs the same code
+with one covariance stage per pair.
 
 The product of the three overlaps around a triple of pure Gaussian states,
 one of them displaced,
@@ -77,58 +77,41 @@ GRAM_BLOCK = 512
 
 
 class BranchStack(NamedTuple):
-    """Descriptions stacked along leading axes; the input of the pair kernel.
+    """Descriptions Δ = (Γ, α, r) stacked along leading axes; the input of
+    the pair kernel.
 
     Attributes:
-        gamma: covariances, shape (..., 2n, 2n).
-        d: centers d̂(α), shape (..., 2n).
+        gamma: covariances, shape (..., 2n, 2n); (1, 2n, 2n) holds one
+            covariance shared by every branch.
         alpha: coherent labels of the centers, shape (..., n).
         r: reference overlaps, shape (...).
 
     A superposition stores its branches as one stack with one branch axis
     (see superposition.GaussianSuperposition); gates, conditioning and gram
     act on the whole stack per call.  A single description is the stack
-    with no leading axis, and d is always hat_d(alpha).  Where the pair
-    kernel is entered, a covariance axis of length 1 is shared by every
-    entry of the stack (see _shared).
+    with no leading axis.
     """
 
     gamma: np.ndarray
-    d: np.ndarray
     alpha: np.ndarray
     r: np.ndarray
+
+    @property
+    def d(self) -> np.ndarray:
+        """Centers d̂(α), shape (..., 2n), derived from the labels."""
+        return hat_d(self.alpha)
 
     def take(self, index) -> "BranchStack":
         """The stack indexed along its branch axis; a covariance axis of
         length 1 is shared by every entry and kept as it is."""
         gamma = self.gamma if len(self.gamma) == 1 else self.gamma[index]
-        return BranchStack(gamma, self.d[index], self.alpha[index], self.r[index])
-
-
-def _as_stack(state) -> BranchStack:
-    """A description as the stack with no leading axis; a stack as itself."""
-    if isinstance(state, BranchStack):
-        return state
-    return BranchStack(state.gamma, state.d, state.alpha, state.r)
+        return BranchStack(gamma, self.alpha[index], self.r[index])
 
 
 def _same_kind(state, stack: BranchStack):
     """stack as a GaussianDescription when state is one, else stack itself."""
     if isinstance(state, GaussianDescription):
         return GaussianDescription(stack.gamma, stack.alpha, stack.r)
-    return stack
-
-
-def _shared(stack: BranchStack) -> BranchStack:
-    """stack with its covariances as one entry when it has a branch axis
-    and they are all equal.
-
-    The test is O(χ·4n²); a shared covariance makes the pair kernel run
-    its covariance stage once per call instead of once per pair.
-    """
-    gamma = stack.gamma
-    if gamma.ndim > 2 and len(gamma) > 1 and (gamma == gamma[0]).all():
-        return stack._replace(gamma=gamma[:1])
     return stack
 
 
@@ -139,9 +122,8 @@ def stack_branches(descriptions: Sequence[GaussianDescription]) -> BranchStack:
         raise ValidationError("need at least one description")
     if len({delta.n for delta in descriptions}) != 1:
         raise ValidationError("descriptions have different mode counts")
-    alpha = np.stack([delta.alpha for delta in descriptions])
     return BranchStack(np.stack([delta.gamma for delta in descriptions]),
-                       hat_d(alpha), alpha,
+                       np.stack([delta.alpha for delta in descriptions]),
                        np.array([delta.r for delta in descriptions], dtype=complex))
 
 
@@ -194,7 +176,7 @@ def coherent_overlap(a: np.ndarray, b: np.ndarray) -> complex:
                           + np.conj(a) @ b))
 
 
-def _fidelity(a: BranchStack, b: BranchStack) -> np.ndarray:
+def _fidelity(a, b) -> np.ndarray:
     """Stacked 2ⁿ · exp(-δᵀ(Γ_a+Γ_b)⁻¹δ) / √det(Γ_a+Γ_b) with δ = d_a - d_b.
 
     Split like the pair kernel, with a stage of its own: slogdet and
@@ -220,7 +202,7 @@ def pair_fidelity(delta1: GaussianDescription, delta2: GaussianDescription) -> f
     """
     if delta1.n != delta2.n:
         raise ValidationError("descriptions have different mode counts")
-    return float(_fidelity(_as_stack(delta1), _as_stack(delta2)))
+    return float(_fidelity(delta1, delta2))
 
 
 def _log_sqrt_det(m: np.ndarray) -> np.ndarray:
@@ -299,11 +281,10 @@ def triple_overlap_product(
     log space.
     """
     psi1, psi2, psi3 = (
-        BranchStack(gamma, d, hat_d_inv(d), np.exp(_log_reference_magnitude(gamma)))
+        BranchStack(gamma, hat_d_inv(d), np.exp(_log_reference_magnitude(gamma)))
         for gamma, d in ((gamma1, d1), (gamma2, d2), (gamma3, d3)))
     alpha = np.asarray(alpha, dtype=complex)
-    label = psi1.alpha - alpha
-    displaced = BranchStack(gamma1, hat_d(label), label, psi1.r * np.exp(
+    displaced = BranchStack(gamma1, psi1.alpha - alpha, psi1.r * np.exp(
         1j * np.imag(_dot(psi1.alpha, np.conj(alpha)))))
     return _scalar_or_array(np.exp(_log_pair_overlaps(psi3, displaced)
                                    + _log_pair_overlaps(psi1, psi2)
@@ -426,9 +407,10 @@ def _pair_energy_factors(a: BranchStack, b: BranchStack) -> np.ndarray:
     Q from the same covariance stage.  The factor n − tr ∇²φ − ∇φᵀ∇φ at
     η = 0 is then n + 2·tr Q − gᵀg with g = −2Qδ + ½i·Ω(d_a + d_b).
     """
-    dim = a.d.shape[-1]
+    dim = a.gamma.shape[-1]
     q, _ = _covariance_stage(a.gamma, b.gamma)
-    g = -2.0 * _mv(q, a.d - b.d) + 0.5j * ((a.d + b.d) @ symplectic_form(dim // 2).T)
+    d_a, d_b = a.d, b.d
+    g = -2.0 * _mv(q, d_a - d_b) + 0.5j * ((d_a + d_b) @ symplectic_form(dim // 2).T)
     return dim // 2 + 2.0 * np.trace(q, axis1=-2, axis2=-1) - _dot(g, g)
 
 
@@ -446,8 +428,10 @@ def gram(psi_a: BranchStack, psi_b: Optional[BranchStack] = None) -> np.ndarray:
     """Matrix of branch overlaps G_kj = ⟨ψ_a,k, ψ_b,j⟩, phases included.
 
     The pairs are evaluated by the two-stage pair kernel, GRAM_BLOCK pairs
-    per call; a stack whose covariances are all equal enters it with one
-    covariance, so its covariance stage runs once per call.  Without psi_b
+    per call.  A stack holding one covariance runs the covariance stage once
+    per call; one with a covariance per branch (such as a stack_branches
+    stack never wrapped in a superposition) runs it once per pair, even if
+    its covariances are equal.  Without psi_b
     this is the Gram matrix of psi_a: only the upper triangle k < j is
     evaluated, the lower triangle is its conjugate and the diagonal is 1,
     since every branch state is normalized.
@@ -457,7 +441,6 @@ def gram(psi_a: BranchStack, psi_b: Optional[BranchStack] = None) -> np.ndarray:
         PhaseRecoveryError: a reference overlap is zero.
     """
     chi_a = psi_a.r.size
-    psi_a = _shared(psi_a)
     if psi_b is None:
         k, j = _upper_triangle(chi_a)
         g = np.eye(chi_a, dtype=complex)
@@ -467,8 +450,7 @@ def gram(psi_a: BranchStack, psi_b: Optional[BranchStack] = None) -> np.ndarray:
     if psi_a.gamma.shape[-1] != psi_b.gamma.shape[-1]:
         raise ValidationError("descriptions have different mode counts")
     k, j = _cross_indices(chi_a, psi_b.r.size)
-    return _blocked(_pair_overlaps, psi_a, k, _shared(psi_b), j).reshape(
-        chi_a, psi_b.r.size)
+    return _blocked(_pair_overlaps, psi_a, k, psi_b, j).reshape(chi_a, psi_b.r.size)
 
 
 def energy_gram(psi: BranchStack, g: np.ndarray) -> np.ndarray:
@@ -476,14 +458,13 @@ def energy_gram(psi: BranchStack, g: np.ndarray) -> np.ndarray:
 
     g is gram(psi).  The pairs k < j are g_kj times a closed-form factor
     read off the pair kernel's covariance stage (see _pair_energy_factors),
-    GRAM_BLOCK pairs per call, with covariances shared as in gram; the
+    GRAM_BLOCK pairs per call, with covariances held as in gram; the
     lower triangle is their conjugate and the diagonal holds the branch
     energies ½·tr Γ + dᵀd + n.
     """
     k, j = _upper_triangle(psi.r.size)
     h = np.diag(energy_of_gaussian(psi.gamma, psi.d)).astype(complex)
-    shared = _shared(psi)
-    h[k, j] = g[k, j] * _blocked(_pair_energy_factors, shared, k, shared, j)
+    h[k, j] = g[k, j] * _blocked(_pair_energy_factors, psi, k, psi, j)
     h[j, k] = np.conj(h[k, j])
     return h
 
@@ -493,12 +474,11 @@ def gram_defect(psi: BranchStack, g: np.ndarray) -> float:
 
     The fidelity needs no phase data, so this checks every overlap gram
     computed for psi against an independent closed form.  The pairs are
-    evaluated GRAM_BLOCK per call with covariances shared as in gram, so a
-    stack with one covariance takes one slogdet and one inverse per block.
+    evaluated GRAM_BLOCK per call with covariances held as in gram, so a
+    stack holding one covariance takes one slogdet and one inverse per block.
     """
     k, j = _upper_triangle(psi.r.size)
-    shared = _shared(psi)
-    f = _blocked(_fidelity, shared, k, shared, j).real
+    f = _blocked(_fidelity, psi, k, psi, j).real
     return float(np.max(np.abs(np.abs(g[k, j]) ** 2 - f), initial=0.0))
 
 
@@ -506,4 +486,4 @@ def overlap(delta1: GaussianDescription, delta2: GaussianDescription) -> complex
     """⟨ψ(Δ₁), ψ(Δ₂)⟩, phase included: the one-pair case of gram's kernel."""
     if delta1.n != delta2.n:
         raise ValidationError("descriptions have different mode counts")
-    return _scalar_or_array(_pair_overlaps(_as_stack(delta1), _as_stack(delta2)))
+    return _scalar_or_array(_pair_overlaps(delta1, delta2))

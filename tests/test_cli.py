@@ -270,6 +270,24 @@ class TestOverlap:
             f"{payload['overlap']} vs double sum {expected}")
         assert abs(payload["magnitude"] - abs(expected)) < 1e-12
 
+    @pytest.mark.parametrize("command", ["overlap", "norm"])
+    def test_gram_defect_exits_numeric(self, tmp_path, capsys, monkeypatch, command):
+        # a kernel 10% off in magnitude misses the pair fidelity; overlap
+        # reports it as norm --method exact does
+        from gaussum import overlaps
+        kernel = overlaps._pair_overlaps
+        monkeypatch.setattr(overlaps, "_pair_overlaps", lambda a, b: 1.1 * kernel(a, b))
+        path_a = _write(tmp_path, "a.json", CAT_MEASURED)
+        path_b = _write(tmp_path, "b.json", ODD_CAT)
+        argv = (["overlap", "--circuit-a", path_a, "--circuit-b", path_b]
+                if command == "overlap" else ["norm", "--circuit", path_a])
+        code, out, err = _run(capsys, argv)
+        assert code == EXIT_NUMERIC
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "numeric" and diag["kind"] == "NumericError"
+        assert "pair fidelity" in diag["message"]
+
     def test_mode_count_mismatch_is_validation_error(self, tmp_path, capsys):
         path_a = _write(tmp_path, "a.json", VACUUM_MEASURED)
         path_b = _write(tmp_path, "b.json", TWO_MODE)

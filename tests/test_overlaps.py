@@ -31,13 +31,12 @@ from gaussum.core import (
     symplectic_form,
     vacuum_description,
 )
-from gaussum.evolution import apply_squeeze
+from gaussum.evolution import apply_squeeze, apply_unitary
 from gaussum.fock import fock_apply_gate, fock_from_description, fock_overlap, fock_project
 from gaussum.measurement import postmeasure
 from gaussum.overlaps import (
     GRAM_BLOCK,
     BranchStack,
-    _as_stack,
     _dot,
     _mv,
     branched_sqrt_det,
@@ -417,8 +416,8 @@ def _reference_gram(stack_a, stack_b) -> np.ndarray:
     gamma_a = np.broadcast_to(stack_a.gamma, (chi_a,) + stack_a.gamma.shape[-2:])
     gamma_b = np.broadcast_to(stack_b.gamma, (chi_b,) + stack_b.gamma.shape[-2:])
     return np.array([[_reference_overlap(
-        BranchStack(gamma_a[k], stack_a.d[k], stack_a.alpha[k], stack_a.r[k]),
-        BranchStack(gamma_b[j], stack_b.d[j], stack_b.alpha[j], stack_b.r[j]))
+        BranchStack(gamma_a[k], stack_a.alpha[k], stack_a.r[k]),
+        BranchStack(gamma_b[j], stack_b.alpha[j], stack_b.r[j]))
         for j in range(chi_b)] for k in range(chi_a)])
 
 
@@ -501,7 +500,7 @@ class TestTwoStageKernel:
         d2 = random_pure_description(2, 0.8, 4)
         value = overlap(d1, d2)
         assert type(value) is complex
-        assert abs(value - _reference_overlap(*map(_as_stack, (d1, d2)))) < 1e-13
+        assert abs(value - _reference_overlap(d1, d2)) < 1e-13
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_pivot_root_matches_eigenvalue_root(self, n):
@@ -586,17 +585,44 @@ class TestTwoStageKernel:
         assert max(sizes) <= GRAM_BLOCK and sum(sizes) == chi * (chi - 1) // 2, sizes
 
     def test_gates_and_conditioning_keep_equal_covariances_bit_equal(self):
+        # on a stack with one covariance per branch, as stack_branches builds
+        # it: the invariant that lets a superposition test for sharing once
         chi, n = 16, 2
         labels = np.linspace(-1.0, 1.0, chi)[:, None] * np.array([0.6 + 0.2j, -0.3j])
-        psi = GaussianSuperposition(np.ones(chi),
-                                    tuple(coherent_description(a) for a in labels))
+        stack = stack_branches([coherent_description(a) for a in labels])
+        psi = GaussianSuperposition(np.ones(chi), stack)
+        assert psi.branches.gamma.shape == (1, 2 * n, 2 * n)
         gates = [Squeeze(0.4, 1), Beamsplitter(0.9, 1, 2), PhaseShift(1.1, 2),
                  Displacement(np.array([0.2, -0.1j])), Squeeze(-0.3, 2)]
+        for gate in gates:
+            stack = apply_unitary(stack, gate)
         evolved = evolve(psi, gates)
-        assert _bit_equal_rows(evolved.branches.gamma), "gates split the covariances"
-        post = post_measurement_superposition(evolved, np.array([0.3 + 0.1j]))
-        assert post.chi > 1
-        assert _bit_equal_rows(post.branches.gamma), "conditioning split the covariances"
+        assert stack.gamma.shape == (chi, 2 * n, 2 * n)
+        assert evolved.branches.gamma.shape == (1, 2 * n, 2 * n)
+        assert _bit_equal_rows(np.concatenate([evolved.branches.gamma, stack.gamma])), (
+            "gates split the covariances")
+        beta = np.array([0.3 + 0.1j])
+        post, _ = postmeasure(stack, beta)
+        conditioned = post_measurement_superposition(evolved, beta)
+        assert conditioned.chi > 1
+        assert conditioned.branches.gamma.shape == (1, 2 * n, 2 * n)
+        assert _bit_equal_rows(np.concatenate([conditioned.branches.gamma, post.gamma])), (
+            "conditioning split the covariances")
+
+    def test_every_mode_conditioned_holds_one_covariance(self):
+        # k = n leaves every branch in |β⟩: χ identity covariances, one stored
+        psi = GaussianSuperposition(np.ones(7), phased_descriptions(94, 2, 7))
+        assert psi.branches.gamma.shape == (7, 4, 4)
+        post = post_measurement_superposition(psi, np.array([0.2 - 0.1j, 0.4j]))
+        assert post.chi > 1 and post.branches.gamma.shape == (1, 4, 4)
+        assert np.array_equal(post.branches.gamma[0], np.eye(4))
+
+    def test_centers_are_derived_from_labels(self):
+        stack = stack_branches(phased_descriptions(96, 2, 5))
+        new = stack.alpha + 0.25 - 0.5j
+        assert BranchStack._fields == ("gamma", "alpha", "r")
+        assert np.array_equal(stack._replace(alpha=new).d, hat_d(new))
+        assert np.array_equal(stack.take([4, 1]).d, hat_d(stack.alpha[[4, 1]]))
 
     def test_wrong_magnitude_in_shared_stack_raises(self):
         psi = _coherent_chain(1, 8, 95)

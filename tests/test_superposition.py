@@ -3,6 +3,7 @@ updates, and energy bookkeeping."""
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from conftest import phased_descriptions, random_superposition
 
 from gaussum import overlaps, superposition
 
-from gaussum.circuit import evolve
+from gaussum.circuit import evolve, parse_circuit
 from gaussum.core import (
     Beamsplitter,
     Displacement,
@@ -98,6 +99,48 @@ class TestContainer:
             GaussianSuperposition(np.ones(2), stack)
         with pytest.raises(ValidationError):
             GaussianSuperposition(np.ones(1), stack.take(0))
+
+    def test_equal_covariances_stored_once(self):
+        # from descriptions, from a stack with one covariance per branch,
+        # and from a parsed terms document: one covariance, decided here
+        n, chi = 2, 4
+        gamma = random_pure_description(n, 0.7, 44).gamma
+        labels = np.linspace(-1.0, 1.0, chi)[:, None] * np.array([0.4 + 0.3j, -0.5j])
+        descriptions = tuple(GaussianDescription(gamma, a, 0.8) for a in labels)
+        stack = stack_branches(descriptions)
+        assert stack.gamma.shape == (chi, 2 * n, 2 * n)
+        doc = {"modes": n, "gates": [], "state": {"type": "terms", "terms": [
+            {"coeff": [1.0, 0.0], "gamma": gamma.tolist(),
+             "alpha": [[a.real, a.imag] for a in label]} for label in labels]}}
+        for psi in (GaussianSuperposition(np.ones(chi), descriptions),
+                    GaussianSuperposition(np.ones(chi), stack),
+                    parse_circuit(json.dumps(doc))[0]):
+            assert psi.branches.gamma.shape == (1, 2 * n, 2 * n)
+            assert np.array_equal(psi.branches.gamma[0], gamma)
+            assert len(psi.descriptions) == chi
+            for view, label in zip(psi.descriptions, labels):
+                assert view.gamma.shape == (2 * n, 2 * n)
+                assert np.array_equal(view.gamma, gamma)
+                assert np.array_equal(view.alpha, label)
+
+    def test_non_finite_label_rejected(self):
+        bad = GaussianDescription(np.eye(2), np.array([np.nan + 0j]), 1.0)
+        with pytest.raises(ValidationError, match="non-finite"):
+            GaussianSuperposition(np.ones(2), (vacuum_description(1), bad))
+        with pytest.raises(ValidationError, match="non-finite"):
+            GaussianSuperposition(np.ones(1), stack_branches([bad]))
+
+    def test_norms_make_no_equality_test(self, monkeypatch):
+        psi = cat_state(0.9 - 0.4j, "odd")
+        calls = []
+        for module in (overlaps, superposition):
+            shared = getattr(module, "_shared", None)
+            if shared is not None:
+                monkeypatch.setattr(module, "_shared",
+                                    lambda stack, f=shared: calls.append(1) or f(stack))
+        exact_norm(psi)
+        fast_norm(psi, 0.5, 0.25, 3.0, 5)
+        assert not calls, f"{len(calls)} covariance equality tests"
 
 
 class TestExactNorm:
@@ -461,6 +504,14 @@ class TestMeasureprob:
         ds[1] = GaussianDescription(bad.gamma, bad.alpha, 1.1 * bad.r)
         with pytest.raises(NumericError):
             measureprob_exact(GaussianSuperposition(psi.coeffs, tuple(ds)), bad.alpha)
+
+    def test_row_rejects_covariance_sum_not_positive_definite(self):
+        # Γ = diag(-2, 1) gives Γ + I = diag(-1, 2) against |β⟩: invalid
+        # input, not a numeric failure of the kernel
+        bad = GaussianDescription(np.diag([-2.0, 1.0]), np.array([0.1j]), 1.0)
+        psi = GaussianSuperposition(np.ones(2), (coherent_description([0.3]), bad))
+        with pytest.raises(ValidationError, match="positive definite"):
+            measureprob_exact(psi, np.array([0.2 + 0.1j]))
 
     @pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (2, 1)])
     def test_zero_reference_overlap_raises(self, n, k):
