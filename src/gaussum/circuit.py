@@ -138,9 +138,14 @@ def _get(obj: dict, key: str, path: str):
 def _as_number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{path}: expected a number, got {value!r}")
-    if not math.isfinite(value):
+    try:
+        number = float(value)
+    except OverflowError:
+        # an integer literal too large for a double; its digits are not echoed
+        raise ValidationError(f"{path}: number outside the double range") from None
+    if not math.isfinite(number):
         raise ValidationError(f"{path}: non-finite number {value!r}")
-    return float(value)
+    return number
 
 
 def _as_int(value, path: str) -> int:

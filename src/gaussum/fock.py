@@ -1,18 +1,22 @@
 """Truncated number-basis brute force for systems of at most two modes.
 
 This is the differential-testing oracle: states are explicit amplitude
-arrays over photon occupations, gates are matrix exponentials of truncated
-quadrature generators, and every quantity (overlap, density, moments,
-energy) is evaluated by direct linear algebra.  Tests certify the
+arrays over photon occupations, and every quantity (overlap, density,
+moments, energy) is evaluated by direct linear algebra.  Tests certify the
 covariance-based engine against this backend.  Within the package only the
 `oracle-check` subcommand loads it, by a lazy import; every other path,
 the closed-form superposition energy included, runs without it or scipy.
 
+Each gate is written once, as the sparse generator G of its truncated
+quadratures on the state's full truncated space, and applied as one
+sparse exponential-times-vector product exp(G)·ψ.
+
 States are built from a description without any gate compilation: a pure
 Gaussian state is the unique (up to phase) solution of n linear
 annihilation relations, which translate into a stable occupation-basis
-recurrence seeded at the all-zero occupation.  The global phase is then
-fixed by matching the description's reference overlap.
+recurrence seeded at the all-zero occupation; a two-mode grid fills row by
+row, each amplitude once.  The global phase is then fixed by matching the
+description's reference overlap.
 """
 
 from __future__ import annotations
@@ -95,16 +99,16 @@ def check_tail(amps: np.ndarray, tail_tol: float = TAIL_TOL) -> None:
             f"tail mass {mass:.3e} exceeds {tail_tol:.3e} at dims {np.shape(amps)}")
 
 
-def _annihilation(dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+def _quadratures(dim: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Sparse truncated (Q, P) of one mode."""
+    a = sp.diags(np.sqrt(np.arange(1.0, dim)), 1, format="csr", dtype=complex)
+    return (a + a.T) / SQRT2, (a - a.T) / (1j * SQRT2)
 
 
 def quadrature_matrices(dim: int) -> tuple[np.ndarray, np.ndarray]:
     """Truncated (Q, P) matrices with [Q, P] = i away from the cutoff."""
-    a = _annihilation(dim)
-    q = (a + a.T) / SQRT2
-    p = (a - a.T) / (1j * SQRT2)
-    return q.astype(complex), p
+    q, p = _quadratures(dim)
+    return q.toarray(), p.toarray()
 
 def fock_vacuum(dims: Sequence[int]) -> FockVector:
     amps = np.zeros(tuple(d + 1 for d in dims), dtype=complex)
@@ -151,72 +155,57 @@ def _gate_modes(g: Gate) -> int:
     return g.mode
 
 
-def _single_mode_gate_matrix(g: Gate, dim: int) -> np.ndarray:
-    """Dense unitary of a single-mode gate on one truncated mode."""
-    q, p = quadrature_matrices(dim)
-    if isinstance(g, PhaseShift):
-        gen = -0.5j * g.phi * (q @ q + p @ p - np.eye(dim))
-    elif isinstance(g, Squeeze):
-        gen = 0.5j * g.z * (q @ p + p @ q)
-    else:
-        raise ValidationError(f"not a single-mode gate: {g!r}")
-    return expm(gen)
+def _generator(g: Gate, dims: tuple) -> sp.csr_matrix:
+    """Sparse anti-Hermitian generator G of a gate on the full truncated
+    space of the given per-mode dimensions, with U = exp(G).
 
-
-def _displacement_matrix(alpha_j: complex, dim: int) -> np.ndarray:
-    """Dense unitary of e^{i·d̂(α)ᵀΩR} on one truncated mode."""
-    q, p = quadrature_matrices(dim)
-    x, y = alpha_j.real, alpha_j.imag
-    gen = 1j * SQRT2 * (x * p - y * q)
-    return expm(gen)
-
-
-def _beamsplitter_generator(g: Beamsplitter, dims: tuple) -> sp.spmatrix:
-    """Sparse generator of the beamsplitter on the full two-mode space.
-
+    Occupations are flattened in row-major order (mode-1 index major).
     Q₁Q₂ + P₁P₂ is symmetric under swapping the modes, so the order of
-    (mode1, mode2) in the gate does not matter.
+    (mode1, mode2) in a beamsplitter does not matter.
     """
-    q1, p1 = quadrature_matrices(dims[0])
-    q2, p2 = quadrature_matrices(dims[1])
-    qq = sp.kron(sp.csr_matrix(q1), sp.csr_matrix(q2), format="csr")
-    pp = sp.kron(sp.csr_matrix(p1), sp.csr_matrix(p2), format="csr")
-    return _BS_GENERATOR_SIGN * 1j * g.omega * (qq + pp)
+    n = len(dims)
+
+    def quadratures(mode: int):
+        if not 1 <= mode <= n:
+            raise ValidationError(f"gate mode {mode} out of range for n={n}")
+        ops = _quadratures(dims[mode - 1])
+        if n == 1:
+            return ops
+        eye = sp.identity(dims[2 - mode], format="csr")
+        return tuple(sp.kron(op, eye, "csr") if mode == 1 else sp.kron(eye, op, "csr")
+                     for op in ops)
+
+    if isinstance(g, Displacement):
+        if g.alpha.size != n:
+            raise ValidationError("displacement label does not match mode count")
+        return sum(1j * SQRT2 * (aj.real * p - aj.imag * q)
+                   for aj, (q, p) in zip(g.alpha, map(quadratures, range(1, n + 1))))
+    if isinstance(g, Beamsplitter):
+        if n != 2:
+            raise ValidationError("beamsplitter needs two modes")
+        (q1, p1), (q2, p2) = quadratures(g.mode1), quadratures(g.mode2)
+        return _BS_GENERATOR_SIGN * 1j * g.omega * (q1 @ q2 + p1 @ p2)
+    q, p = quadratures(g.mode)
+    if isinstance(g, PhaseShift):
+        return -0.5j * g.phi * (q @ q + p @ p - sp.identity(q.shape[0], format="csr"))
+    if isinstance(g, Squeeze):
+        return 0.5j * g.z * (q @ p + p @ q)
+    raise ValidationError(f"unknown gate: {g!r}")
 
 
 def fock_gate(g: Gate, n_max: int, n: Optional[int] = None) -> np.ndarray:
-    """Dense unitary of a gate on the truncated n-mode space.
+    """Dense unitary exp(G) of a gate on the truncated n-mode space.
 
-    Feasible sizes: any n_max ≤ 256 for one mode; keep n_max small (≤ 31)
-    for two modes, where the matrix lives on the (n_max+1)²-dimensional
-    product space.  Occupations are flattened in row-major order
-    (mode-1 index major).
+    G is the gate's generator, the same one fock_apply_gate exponentiates
+    against a vector.  Feasible sizes: any n_max ≤ 256 for one mode; keep
+    n_max small (≤ 31) for two modes, where the matrix lives on the
+    (n_max+1)²-dimensional product space.  Occupations are flattened in
+    row-major order (mode-1 index major).
     """
     n = n or _gate_modes(g)
     if n not in (1, 2):
         raise ValidationError(f"oracle supports 1 or 2 modes, got n={n}")
-    dim = n_max + 1
-    q, p = quadrature_matrices(dim)
-    eye = np.eye(dim)
-
-    def embed(op: np.ndarray, mode: int) -> np.ndarray:
-        if n == 1:
-            return op
-        return np.kron(op, eye) if mode == 1 else np.kron(eye, op)
-
-    if isinstance(g, Displacement):
-        gen = np.zeros((dim ** n, dim ** n), dtype=complex)
-        for j, aj in enumerate(g.alpha, start=1):
-            gen += embed(1j * SQRT2 * (aj.real * p - aj.imag * q), j)
-        return expm(gen)
-    if isinstance(g, Beamsplitter):
-        if n != 2:
-            raise ValidationError("beamsplitter needs two modes")
-        qj, pj = embed(q, g.mode1), embed(p, g.mode1)
-        qk, pk = embed(q, g.mode2), embed(p, g.mode2)
-        gen = _BS_GENERATOR_SIGN * 1j * g.omega * (qj @ qk + pj @ pk)
-        return expm(gen)
-    return embed(_single_mode_gate_matrix(g, dim), getattr(g, "mode", 1))
+    return expm(_generator(g, (n_max + 1,) * n).toarray())
 
 
 def _apply_along_axis(amps: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarray:
@@ -227,28 +216,12 @@ def _apply_along_axis(amps: np.ndarray, mat: np.ndarray, axis: int) -> np.ndarra
 def fock_apply_gate(state: FockVector, g: Gate) -> FockVector:
     """Apply a gate to an oracle state without forming the full unitary.
 
-    Single-mode gates act by a dense per-mode matrix; the beamsplitter acts
-    through a sparse-generator exponential-times-vector product.
+    Every gate kind is one sparse exponential-times-vector product
+    exp(G)·ψ of its generator on the state's full truncated space
+    (Al-Mohy & Higham's method, scipy's expm_multiply).
     """
-    amps = state.amps
-    if isinstance(g, Displacement):
-        if g.alpha.size != state.n:
-            raise ValidationError("displacement label does not match mode count")
-        for j, aj in enumerate(g.alpha):
-            if aj != 0:
-                amps = _apply_along_axis(amps, _displacement_matrix(aj, state.dims[j]), j)
-        return FockVector(amps)
-    if isinstance(g, Beamsplitter):
-        if state.n != 2:
-            raise ValidationError("beamsplitter needs a two-mode state")
-        gen = _beamsplitter_generator(g, state.dims)
-        out = expm_multiply(gen, amps.reshape(-1))
-        return FockVector(out.reshape(state.dims))
-    axis = g.mode - 1
-    if not 0 <= axis < state.n:
-        raise ValidationError(f"gate mode {g.mode} out of range for n={state.n}")
-    mat = _single_mode_gate_matrix(g, state.dims[axis])
-    return FockVector(_apply_along_axis(amps, mat, axis))
+    out = expm_multiply(_generator(g, state.dims), state.amps.reshape(-1))
+    return FockVector(out.reshape(state.dims))
 
 
 # ---------------------------------------------------------------------------
@@ -289,49 +262,27 @@ def _recurrence_1mode(mu: complex, nu: complex, c: complex, dim: int) -> np.ndar
 
 
 def _recurrence_2mode(mu: np.ndarray, nu: np.ndarray, c: np.ndarray, dims: tuple) -> np.ndarray:
-    """Fill the occupation grid by anti-diagonals.
+    """Fill the occupation grid row by row.
 
-    At each grid point the two annihilation relations are a 2×2 linear
-    system for the east (m₁+1) and north (m₂+1) neighbors given the west
-    and south ones; interior points are produced twice and averaged.  A
-    one-cell rim buffers the walk so every kept point comes from a full
-    2×2 solve.
+    Solved for the annihilation parts, the two relations read
+    (a₁ψ, a₂ψ) = μ⁻¹(c·ψ - ν·(a₁†ψ, a₂†ψ)).  The first component gives row
+    m₂ = 0 from the origin along m₁; the second gives row m₂+1 from rows m₂
+    and m₂-1 for all m₁ at once.  Each amplitude is computed once.
     """
     n1, n2 = dims
-    buf = np.zeros((n1 + 2, n2 + 2), dtype=complex)
-    buf[0, 0] = 1.0
-    det_mu = mu[0, 0] * mu[1, 1] - mu[0, 1] * mu[1, 0]
-    if abs(det_mu) < 1e-12:
+    if abs(np.linalg.det(mu)) < 1e-12:
         raise NumericError("degenerate annihilation relations")
-    r1 = np.sqrt(np.arange(n1 + 2, dtype=float))
-    r2 = np.sqrt(np.arange(n2 + 2, dtype=float))
-    for t in range(n1 + n2 + 1):
-        i = np.arange(max(0, t - n2), min(t, n1) + 1)
-        j = t - i
-        cur = buf[i, j]
-        west = np.where(i >= 1, buf[i - 1, j], 0.0)
-        south = np.where(j >= 1, buf[i, j - 1], 0.0)
-        b1 = c[0] * cur - nu[0, 0] * r1[i] * west - nu[0, 1] * r2[j] * south
-        b2 = c[1] * cur - nu[1, 0] * r1[i] * west - nu[1, 1] * r2[j] * south
-        scale_e = r1[i + 1]
-        scale_n = r2[j + 1]
-        east = (mu[1, 1] * b1 - mu[0, 1] * b2) / (det_mu * scale_e)
-        north = (-mu[1, 0] * b1 + mu[0, 0] * b2) / (det_mu * scale_n)
-        # scatter with averaging: (i+1, j) gets an east value, (i, j+1) a
-        # north value; interior points of the next diagonal receive both.
-        acc = np.zeros(i.size + 1, dtype=complex)
-        cnt = np.zeros(i.size + 1)
-        # targets on diagonal t+1, indexed by their m1 coordinate
-        lo = i[0]
-        acc[i - lo + 1] += east
-        cnt[i - lo + 1] += 1.0
-        acc[i - lo] += north
-        cnt[i - lo] += 1.0
-        ti = np.arange(lo, lo + i.size + 1)
-        tj = (t + 1) - ti
-        keep = (ti <= n1 + 1) & (tj >= 0) & (tj <= n2 + 1) & (cnt > 0)
-        buf[ti[keep], tj[keep]] = acc[keep] / cnt[keep]
-    return buf[: n1 + 1, : n2 + 1]
+    c, nu = np.linalg.solve(mu, c), np.linalg.solve(mu, nu)
+    amps = np.zeros((n1 + 1, n2 + 1), dtype=complex)
+    amps[:, 0] = _recurrence_1mode(1.0, nu[0, 0], c[0], n1 + 1)
+    r1 = np.sqrt(np.arange(1.0, n1 + 1))
+    for m in range(n2):
+        row = c[1] * amps[:, m]
+        row[1:] -= nu[1, 0] * r1 * amps[:-1, m]
+        if m:
+            row -= nu[1, 1] * np.sqrt(m) * amps[:, m - 1]
+        amps[:, m + 1] = row / np.sqrt(m + 1)
+    return amps
 
 
 def _auto_initial_cutoffs(delta: GaussianDescription) -> list:

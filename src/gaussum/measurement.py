@@ -35,6 +35,7 @@ from .core import ValidationError, hat_d, hat_d_inv
 from .overlaps import (
     BranchStack,
     _dot,
+    _log_det_positive,
     _log_pair_overlaps,
     _mv,
     _same_kind,
@@ -52,9 +53,7 @@ def _measured_blocks(stack, outcome: np.ndarray):
         raise ValidationError(
             f"outcome has {k} modes, state has {n}; need 1 ≤ k ≤ n")
     m = stack.gamma[..., : 2 * k, : 2 * k] + np.eye(2 * k)
-    sign, logdet = np.linalg.slogdet(m / 2)
-    if np.any(sign <= 0):
-        raise ValidationError("measured covariance block is not positive definite")
+    logdet = _log_det_positive(m / 2, "measured covariance block")
     minv = np.linalg.inv(m)
     diff = hat_d(outcome) - stack.d[..., : 2 * k]
     log_p = -_dot(diff, _mv(minv, diff)) - 0.5 * logdet - k * np.log(np.pi)

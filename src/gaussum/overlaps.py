@@ -176,19 +176,32 @@ def coherent_overlap(a: np.ndarray, b: np.ndarray) -> complex:
                           + np.conj(a) @ b))
 
 
+def _log_det_positive(m: np.ndarray, what: str) -> np.ndarray:
+    """Stacked log det M, read off a Cholesky factor of M.
+
+    Raises:
+        ValidationError: some M is not positive definite.  A determinant's
+            sign cannot tell: an even number of negative eigenvalues leaves
+            it positive.
+    """
+    try:
+        chol = np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        raise ValidationError(f"{what} is not positive definite") from None
+    return 2.0 * np.log(np.diagonal(chol, axis1=-2, axis2=-1)).sum(axis=-1)
+
+
 def _fidelity(a, b) -> np.ndarray:
     """Stacked 2ⁿ · exp(-δᵀ(Γ_a+Γ_b)⁻¹δ) / √det(Γ_a+Γ_b) with δ = d_a - d_b.
 
-    Split like the pair kernel, with a stage of its own: slogdet and
-    inverse of Γ_a+Γ_b once per covariance pair, then one quadratic form
-    per pair of centers.  It shares no intermediate with the overlap, so it
-    stays an independent check on it.
+    Split like the pair kernel, with a stage of its own: Cholesky
+    log-determinant and inverse of Γ_a+Γ_b once per covariance pair, then
+    one quadratic form per pair of centers.  It shares no intermediate with
+    the overlap, so it stays an independent check on it.
     """
     n = a.gamma.shape[-1] // 2
     total = a.gamma + b.gamma
-    sign, logdet = np.linalg.slogdet(total)
-    if np.any(sign <= 0):
-        raise ValidationError("covariance sum is not positive definite")
+    logdet = _log_det_positive(total, "covariance sum")
     return np.exp(n * np.log(2.0) - 0.5 * logdet
                   - _quadratic(np.linalg.inv(total), a.d - b.d))
 
@@ -475,7 +488,8 @@ def gram_defect(psi: BranchStack, g: np.ndarray) -> float:
     The fidelity needs no phase data, so this checks every overlap gram
     computed for psi against an independent closed form.  The pairs are
     evaluated GRAM_BLOCK per call with covariances held as in gram, so a
-    stack holding one covariance takes one slogdet and one inverse per block.
+    stack holding one covariance takes one Cholesky factor and one inverse per
+    block.
     """
     k, j = _upper_triangle(psi.r.size)
     f = _blocked(_fidelity, psi, k, psi, j).real

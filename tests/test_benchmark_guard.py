@@ -2,11 +2,12 @@
 
 perfbench/tracing.py rebinds functions by name for `run.py --trace 1`; a
 renamed or deleted function would silently drop out of the per-layer
-report.  The tracer module is read from the checkout, never edited.
-perfbench/run.py and perfbench/checks.py call circuit.simulate_approx with
-the seed, workers and energy_override keywords and `gaussum simulate` with
---seed, --workers and --energy-bound; losing one would break every
-benchmark run, so tier-1 checks them here.
+report.  perfbench/run.py and perfbench/checks.py call
+circuit.simulate_approx with the seed, workers and energy_override keywords
+and `gaussum simulate` with --seed, --workers and --energy-bound, and
+checks.py calls the library and the number-basis oracle by name after the
+timed loop; losing one would break every benchmark run, so tier-1 checks
+them here.  The perfbench modules are read from the checkout, never edited.
 """
 
 from __future__ import annotations
@@ -14,24 +15,39 @@ from __future__ import annotations
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import gaussum
+import gaussum.cli
 from gaussum.circuit import simulate_approx
 from gaussum.cli import build_parser
 
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
-TRACED = _load_tracing().TRACED
+TRACED = _load("tracing").TRACED
+
+# two terms, entangled and squeezed, every mode measured
+ORACLE_REQUEST = json.dumps({
+    "modes": 2,
+    "state": {"type": "terms", "terms": [
+        {"coeff": [1.0, 0.0], "alpha": [[0.4, 0.0], [0.0, 0.1]]},
+        {"coeff": [0.6, 0.3], "alpha": [[-0.4, 0.0], [0.2, 0.0]]}]},
+    "gates": [{"op": "beamsplitter", "modes": [1, 2], "omega": 0.5},
+              {"op": "squeeze", "mode": 1, "z": 0.3}],
+    "measure": {"k": 2, "beta": [[0.1, 0.2], [-0.1, 0.0]]}})
 
 
 @pytest.mark.parametrize("short", sorted(TRACED))
@@ -56,3 +72,21 @@ def test_simulate_command_takes_benchmark_flags(flag, value, dest):
     args = build_parser().parse_args(
         ["simulate", "--circuit", "c.json", "--method", "approx", flag, value])
     assert getattr(args, dest) == type(getattr(args, dest))(value)
+
+
+def test_oracle_check_runs():
+    request = SimpleNamespace(slot="guard", document=ORACLE_REQUEST)
+    result = _load("checks").oracle_check(gaussum, request)
+    assert result["ok"], f"oracle check failed: {result}"
+
+
+@pytest.mark.parametrize("path", [
+    "circuit.evolve", "circuit.parse_circuit", "circuit.simulate_exact",
+    "superposition.measureprob_exact", "cat_state", "vacuum_description",
+    "superposition_energy_exact", "fast_norm_parameters", "fast_norm", "cli.main"])
+def test_checked_library_calls_exist(path):
+    target = gaussum
+    for name in path.split("."):
+        target = getattr(target, name, None)
+        assert target is not None, f"gaussum.{path} is missing"
+    assert callable(target), f"gaussum.{path} is not callable"

@@ -367,6 +367,26 @@ class TestErrorReporting:
         assert diag["error"] == "validation"
         assert diag["message"]
 
+    @pytest.mark.parametrize("where", ["coeff", "alpha", "phi"])
+    def test_number_outside_double_range_is_validation_error(self, tmp_path, capsys,
+                                                             where):
+        huge = 10 ** 400
+        term = {"coeff": [1.0, 0.0], "alpha": [[0.1, 0.0]]}
+        gate = {"op": "phaseshift", "mode": 1, "phi": 0.5}
+        if where == "phi":
+            gate["phi"] = huge
+        else:
+            term[where] = [huge, 0.0] if where == "coeff" else [[0.1, huge]]
+        doc = {"modes": 1, "state": {"type": "terms", "terms": [term]},
+               "gates": [gate], "measure": {"k": 1, "beta": [[0.0, 0.0]]}}
+        path = _write(tmp_path, "huge.json", json.dumps(doc))
+        code, out, err = _run(capsys, ["simulate", "--circuit", path])
+        assert code == EXIT_VALIDATION
+        assert out == ""
+        diag = json.loads(err)
+        assert diag["error"] == "validation"
+        assert where in diag["message"] and str(huge) not in diag["message"]
+
     @pytest.mark.parametrize("command", ["simulate", "norm"])
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_worker_count_below_one_is_validation_error(self, tmp_path, capsys,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
+from scipy.sparse.linalg import expm_multiply
 
 from conftest import complex_in_disc
 
@@ -19,6 +20,8 @@ from gaussum.core import (
     random_pure_description,
     vacuum_description,
 )
+from gaussum import fock
+from gaussum.evolution import apply_unitary
 from gaussum.fock import (
     FockVector,
     TailMassError,
@@ -117,6 +120,42 @@ class TestGates:
             fock_coherent(c * b - 1j * s * a, 40).amps))
         value = fock_overlap(target, out)
         assert abs(value - 1.0) < 1e-8, f"overlap {value}"
+
+
+ALL_GATES = {
+    1: [Displacement(np.array([0.9 - 0.7j])), PhaseShift(2.3, 1), Squeeze(0.7, 1)],
+    2: [Displacement(np.array([0.9 - 0.7j, -0.4 + 0.3j])), PhaseShift(-1.1, 2),
+        Squeeze(-0.6, 1), Squeeze(0.4, 2), Beamsplitter(0.7, 1, 2),
+        Beamsplitter(-0.5, 2, 1)],
+}
+
+
+class TestOneGeneratorPerGate:
+    """fock_gate and fock_apply_gate exponentiate the same generator."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_apply_matches_dense_unitary(self, n):
+        rng = np.random.default_rng(137 + n)
+        n_max = 12
+        v = rng.normal(size=(n_max + 1,) * n) + 1j * rng.normal(size=(n_max + 1,) * n)
+        for g in ALL_GATES[n]:
+            got = fock_apply_gate(FockVector(v), g).amps.reshape(-1)
+            want = fock_gate(g, n_max, n) @ v.reshape(-1)
+            assert np.max(np.abs(got - want)) < 1e-12, f"{g}"
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_exponential_action_per_gate(self, n, monkeypatch):
+        calls = []
+
+        def counting(gen, vec):
+            calls.append(gen.shape)
+            return expm_multiply(gen, vec)
+
+        monkeypatch.setattr(fock, "expm_multiply", counting)
+        state = fock_vacuum([10] * n)
+        for g in ALL_GATES[n]:
+            fock_apply_gate(state, g)
+        assert calls == [(11 ** n, 11 ** n)] * len(ALL_GATES[n])
 
 
 class TestOverlapAndDensity:
@@ -218,3 +257,23 @@ class TestFromDescription:
                                     1.0 / np.sqrt(np.cosh(3.0)))
         with pytest.raises(TailMassError):
             fock_from_description(heavy, cap=32)
+
+    def test_two_mode_fill_satisfies_both_relations(self):
+        # squeezed, entangled by a beamsplitter, then displaced
+        delta = vacuum_description(2)
+        for g in (Squeeze(0.7, 1), Squeeze(-0.4, 2), Beamsplitter(0.6, 1, 2),
+                  Displacement(np.array([0.8 - 0.3j, -0.5 + 0.6j]))):
+            delta = apply_unitary(delta, g)
+        psi = fock_from_description(delta).amps
+        mu, nu, c = fock._bogoliubov_rows(delta)
+        r1 = np.sqrt(np.arange(psi.shape[0]))[:, None]
+        r2 = np.sqrt(np.arange(psi.shape[1]))[None, :]
+        # a_j and a_j† on the interior grid [1, dim-1) along both axes
+        inner = psi[1:-1, 1:-1]
+        a = (r1[2:] * psi[2:, 1:-1], r2[:, 2:] * psi[1:-1, 2:])
+        a_dag = (r1[1:-1] * psi[:-2, 1:-1], r2[:, 1:-1] * psi[1:-1, :-2])
+        for i in range(2):
+            residual = (mu[i, 0] * a[0] + mu[i, 1] * a[1] + nu[i, 0] * a_dag[0]
+                        + nu[i, 1] * a_dag[1] - c[i] * inner)
+            defect = np.max(np.abs(residual)) / np.linalg.norm(psi)
+            assert defect < 1e-12, f"relation {i}: defect {defect:.3e}"

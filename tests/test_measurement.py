@@ -56,6 +56,13 @@ class TestHeterodyneDensity:
             expected = fock_heterodyne_density(fock_from_description(delta), beta)
             assert abs(p - expected) < 1e-8, f"case {case}: {p} vs {expected}"
 
+    def test_measured_block_with_positive_determinant_rejected(self):
+        # Γ = -3I gives Γ_A + I = -2I: det = 4 > 0, yet not positive
+        # definite, and the formula would read p(1) = 0.409 > 1/π
+        bad = GaussianDescription(-3.0 * np.eye(2), np.zeros(1), 1.0)
+        with pytest.raises(ValidationError, match="positive definite"):
+            heterodyne_density(bad, np.array([1.0 + 0.0j]))
+
 
 class TestPostmeasure:
     """Conditioning (Γ, α, r) on a heterodyne outcome."""

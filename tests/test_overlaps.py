@@ -19,6 +19,7 @@ from gaussum.core import (
     Beamsplitter,
     BranchPathError,
     Displacement,
+    GaussianDescription,
     NumericError,
     PhaseRecoveryError,
     PhaseShift,
@@ -105,6 +106,13 @@ class TestPairFidelity:
             f = pair_fidelity(d1, d2)
             assert -1e-12 <= f <= 1.0 + 1e-12, f"seed {seed}: fidelity {f}"
             assert abs(pair_fidelity(d1, d1) - 1.0) < 1e-10, "self-fidelity"
+
+    def test_covariance_sum_with_positive_determinant_rejected(self):
+        # Γ = -2I against vacuum sums to -I: det(-I) = 1 > 0, yet the sum
+        # is not positive definite, and the formula would read F = 3.30
+        bad = GaussianDescription(-2.0 * np.eye(2), np.zeros(1), 1.0)
+        with pytest.raises(ValidationError, match="positive definite"):
+            pair_fidelity(bad, vacuum_description(1))
 
 
 class TestBranchedSqrtDet:

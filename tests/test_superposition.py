@@ -513,6 +513,14 @@ class TestMeasureprob:
         with pytest.raises(ValidationError, match="positive definite"):
             measureprob_exact(psi, np.array([0.2 + 0.1j]))
 
+    def test_row_rejects_covariance_sum_with_positive_determinant(self):
+        # Γ = -2I gives Γ + I = -I against |β⟩: det = 1 > 0, yet not
+        # positive definite, so still invalid input
+        bad = GaussianDescription(-2.0 * np.eye(2), np.array([0.1j]), 1.0)
+        psi = GaussianSuperposition(np.ones(2), (coherent_description([0.3]), bad))
+        with pytest.raises(ValidationError, match="positive definite"):
+            measureprob_exact(psi, np.array([0.2 + 0.1j]))
+
     @pytest.mark.parametrize("n, k", [(1, 1), (2, 2), (2, 1)])
     def test_zero_reference_overlap_raises(self, n, k):
         psi = random_superposition(750 + n, n=n, chi=3, z_max=0.6, alpha_max=0.6)
