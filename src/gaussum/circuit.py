@@ -198,14 +198,14 @@ def _parse_term(obj: dict, modes: int, path: str):
 def _term_stack(parsed: list, path: str) -> BranchStack:
     """The parsed terms as one BranchStack, checked by one stacked
     validate_description call; a left-out r takes the positive value
-    fixed by Γ.  An invalid term, a covariance with det(I + Γ) ≤ 0
-    included, is named by its index."""
+    fixed by Γ.  An invalid term, a covariance whose I + Γ is not positive
+    definite included, is named by its index."""
     gamma = np.stack([g for _, g, _, _ in parsed])
     alpha = np.stack([a for _, _, a, _ in parsed])
     missing = np.array([r is None for _, _, _, r in parsed])
     r = np.array([0j if r is None else r for _, _, _, r in parsed])
     if missing.any():
-        # NaN for a covariance with det(I + Γ) ≤ 0, which validation rejects
+        # NaN where I + Γ is not positive definite, which validation rejects
         r[missing] = np.exp(_log_reference_magnitude(gamma[missing]))
     stack = BranchStack(gamma, alpha, r)
     report = validate_description(stack)

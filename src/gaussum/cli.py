@@ -31,7 +31,7 @@ from .circuit import (
     simulate_exact,
 )
 from .overlaps import GRAM_BLOCK
-from .superposition import (_checked_cross_gram, exact_norm, fast_norm,
+from .superposition import (_checked_gram, exact_norm, fast_norm,
                             superposition_energy_exact)
 
 EXIT_OK = 0
@@ -89,7 +89,7 @@ def cmd_overlap(args: argparse.Namespace) -> int:
             f"circuits act on {spec_a.modes} and {spec_b.modes} modes")
     ev_a = evolve(psi_a, spec_a.gates)
     ev_b = evolve(psi_b, spec_b.gates)
-    g = _checked_cross_gram(ev_a.branches, ev_b.branches)
+    g = _checked_gram(ev_a.branches, ev_b.branches)
     total = np.conj(ev_a.coeffs) @ g @ ev_b.coeffs
     _emit({"overlap": [total.real, total.imag], "magnitude": abs(total)})
     return EXIT_OK

@@ -289,21 +289,28 @@ class ValidityReport:
 
 
 def _log_reference_magnitude(gamma: np.ndarray) -> np.ndarray:
-    """log |r| = ½·(n·log 2 - ½·log det(I+Γ)), stacked; NaN where
-    det(I+Γ) ≤ 0, which no valid covariance has."""
+    """log |r| = ½·(n·log 2 - ½·log det(I+Γ)), stacked, from the eigenvalues
+    of each I+Γ; NaN for an entry whose I+Γ is not positive definite, which
+    no valid covariance has.  The sign of det(I+Γ) cannot tell: an even
+    number of negative eigenvalues leaves it positive."""
     n = gamma.shape[-1] // 2
-    sign, logdet = np.linalg.slogdet(np.eye(2 * n) + gamma)
-    return np.where(sign > 0, 0.5 * (n * np.log(2.0) - 0.5 * logdet), np.nan)
+    eigenvalues = np.linalg.eigvalsh(np.eye(2 * n) + gamma)
+    positive = eigenvalues[..., 0] > 0
+    logdet = np.log(np.where(positive[..., None], eigenvalues, 1.0)).sum(axis=-1)
+    return np.where(positive, 0.5 * (n * np.log(2.0) - 0.5 * logdet), np.nan)
 
 
 def reference_overlap_magnitude(gamma: np.ndarray):
     """Return |r| implied by the covariance: (2ⁿ/√det(I+Γ))^{1/2}.
 
     A stack of covariances (..., 2n, 2n) gives an array of magnitudes.
+
+    Raises:
+        NumericError: some I + Γ is not positive definite.
     """
     log_magnitude = _log_reference_magnitude(np.asarray(gamma, dtype=float))
     if np.isnan(log_magnitude).any():
-        raise NumericError("det(I + Γ) must be positive for a valid covariance")
+        raise NumericError("I + Γ must be positive definite for a valid covariance")
     magnitude = np.exp(log_magnitude)
     return float(magnitude) if magnitude.ndim == 0 else magnitude
 
@@ -321,7 +328,8 @@ def validate_description(delta, tol: float = DEFAULT_TOL) -> ValidityReport:
         ‖ΓΩΓ - Ω‖_max ≤ tol; reference overlap: | |r|² - 2ⁿ/√det(I+Γ) | ≤ tol)
         and the measured defects.  For a stack every field is an array
         over its leading axes, from one stacked evaluation.  A covariance
-        with det(I+Γ) ≤ 0 is reported invalid, with a NaN r_defect.
+        whose I+Γ is not positive definite is reported invalid, with a NaN
+        r_defect.
     """
     gamma = np.asarray(delta.gamma, dtype=float)
     n = np.shape(delta.alpha)[-1]

@@ -7,7 +7,8 @@ or passive gates (they map coherent states to coherent states with no
 extra phase), but squeezing changes it nontrivially.  There
 r' = ⟨α', Sψ⟩ = ⟨S†α', ψ⟩, and S†|α'⟩ is the displaced squeezed vacuum
 (S⁻¹S⁻ᵀ, α, 1/√cosh z) on ψ's own pre-gate label α, so r' is one pair
-overlap of the overlaps kernel, with equal centers.
+overlap of the overlaps kernel between the Bargmann forms of that anchor
+and of ψ.
 
 Every gate acts on a whole BranchStack per call: the branches of a
 superposition are updated together, with the gate's S and label map
@@ -29,7 +30,7 @@ from .core import (
     ValidationError,
     gate_symplectic,
 )
-from .overlaps import BranchStack, _log_pair_overlaps, _same_kind
+from .overlaps import BranchStack, _bargmann, _log_overlaps, _same_kind
 
 
 def _congruence(s: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -84,16 +85,16 @@ def apply_squeeze(delta, z: float, j: int):
     The new reference overlap is r' = ⟨α', Sψ⟩ = ⟨S†α', ψ⟩ with S = S_j(z).
     S†|α'⟩ = D(α)S†|0⟩ is the description (S⁻¹S⁻ᵀ, α, 1/√cosh z), α being
     ψ's own pre-gate label (the anchor of states._squeezed_description), so
-    r' is one pair overlap with δ = 0.  S⁻¹S⁻ᵀ is the same for every
-    branch, so a stack holding one covariance runs one covariance stage per
-    gate.
+    r' is one pair overlap.  S⁻¹S⁻ᵀ is the same for every branch, so the
+    anchor converts to one Bargmann B, and a stack holding one covariance
+    runs one covariance-pair stage per gate.
     """
     gate = Squeeze(float(z), j)
     s, _ = gate_symplectic(gate, delta.alpha.shape[-1])
     # S is diagonal, so S⁻¹S⁻ᵀ is diag(S)⁻², exactly symmetric
     anchor = BranchStack(np.diag(np.diag(s) ** -2.0), delta.alpha,
                          1.0 / np.sqrt(np.cosh(gate.z)))
-    r_new = np.exp(_log_pair_overlaps(anchor, delta))
+    r_new = np.exp(_log_overlaps(_bargmann(anchor), _bargmann(delta)))
     aj = delta.alpha[..., j - 1]
     alpha = delta.alpha.copy()
     alpha[..., j - 1] = aj * np.cosh(gate.z) - np.conj(aj) * np.sinh(gate.z)

@@ -13,7 +13,9 @@ reference overlap needs no anchor beyond the outcome norm: with
 
     r' = ⟨α', Π_βψ⟩ / ‖Π_βψ‖ = ⟨α', ψ⟩ / (πᵏp)^{1/2},
 
-one pair overlap of the coherent state |α'⟩ against ψ.
+one pair overlap of the coherent state |α'⟩ against ψ: ψ's Bargmann
+function at ᾱ', ⟨α', ψ⟩ = e^{−‖α'‖²/2}·F_ψ(ᾱ'), since |α'⟩ has B = 0
+(see overlaps).
 
 Conditioning works in log space: the pair overlap, the norm (πᵏp)^{1/2}
 and the density itself are carried as logs and exponentiated once, so the
@@ -34,9 +36,11 @@ import numpy as np
 from .core import ValidationError, hat_d, hat_d_inv
 from .overlaps import (
     BranchStack,
+    _bargmann,
+    _coherent,
     _dot,
     _log_det_positive,
-    _log_pair_overlaps,
+    _log_overlaps,
     _mv,
     _same_kind,
     _scalar_or_array,
@@ -84,7 +88,7 @@ def postmeasure(delta, outcome: np.ndarray):
 
     The new reference overlap is r' = ⟨α', Π_βψ⟩/‖Π_βψ‖ = ⟨α', ψ⟩/(πᵏp)^{1/2}
     with Π_β = |β⟩⟨β| ⊗ I and α' = (β, α'_B): the log pair overlap of the
-    coherent state |α'⟩ (Γ = I) against ψ, minus ½(k·log π + log p).
+    coherent state |α'⟩ (B = 0) against ψ, minus ½(k·log π + log p).
 
     Raises:
         ValidationError: the outcome has no modes or more than the state,
@@ -104,7 +108,7 @@ def postmeasure(delta, outcome: np.ndarray):
     d_new = np.concatenate([np.broadcast_to(db, sa.shape), sb + _mv(gba_minv, db - sa)],
                            axis=-1)
     alpha_new = hat_d_inv(d_new)
-    log_r = _log_pair_overlaps(BranchStack(np.eye(2 * n), alpha_new, 1.0), delta)
+    log_r = _log_overlaps(_coherent(alpha_new), _bargmann(delta))
     r_new = np.exp(log_r - 0.5 * (k * np.log(np.pi) + log_p))
     post = BranchStack(gamma_new, alpha_new, r_new)
     return _same_kind(delta, post), _scalar_or_array(np.exp(log_p))

@@ -1,26 +1,79 @@
 """Inner products between pure Gaussian states from their descriptions.
 
-Every overlap between described states comes from one pair kernel
-(coherent_overlap is the closed form for two coherent labels, kept as an
-independent check), split in two stages.  In ⟨ψ_a, ψ_b⟩ everything but
-the two centers depends on the covariance pair alone, so the covariance
-stage (_covariance_stage) runs once per pair of covariances and returns
-a complex symmetric Q and a log-constant; the center stage
-(_log_pair_overlaps) runs per pair of branches:
+Every overlap between described states comes from one pair kernel on the
+states' Bargmann functions (coherent_overlap is the closed form for two
+coherent labels, kept as an independent check).  A pure Gaussian state ψ
+on n modes has
 
-    log⟨ψ_a, ψ_b⟩ = log-constant − δᵀQδ − i·Im(α_a·ᾱ_b) − log(r̄_b·r_a),
-    δ = d_a − d_b.
+    F_ψ(z) = c·exp(½zᵀBz + bᵀz),    ⟨β, ψ⟩ = e^{−‖β‖²/2}·F_ψ(β̄),
 
-gram, its cross form, estimator probes and energy_gram exponentiate it;
-squeezing and conditioning read their new reference overlap r' off it as
-one pair overlap each (see evolution.apply_squeeze and
-measurement.postmeasure), and conditioning divides the outcome norm out in
-log space, so no anchor is ever too small to divide by.
+with B complex symmetric n×n (Bargmann, Comm. Pure Appl. Math. 14, 1961;
+the (A, b, c) form of Miatto & Quesada, Quantum 4, 366, 2020).
 
-A stack holding one covariance (see BranchStack) broadcasts it over every
-branch, so coherent chains, cats and probes pay for one covariance stage
-per kernel call; a stack with one covariance per branch runs the same code
-with one covariance stage per pair.
+Conversion (_bargmann), once per stack per call site.  About its center,
+ψ's position wave function is exp(−½xᵀZx) with Z = Γ_xx⁻¹(I − iΓ_xp),
+where Γ_xx = Γ[0::2, 0::2] and Γ_xp = Γ[0::2, 1::2] in the (Q₁, P₁, …)
+order, and the Bargmann transform of that Gaussian is
+
+    B = 2(I + Z)⁻¹ − I = 2(Γ_xx + I − iΓ_xp)⁻¹Γ_xx − I.
+
+Displacing by α maps F(z) to e^{−‖α‖²/2 + αᵀz}·F(z − ᾱ), and ⟨α, ψ⟩ = r, so
+
+    b = α − Bᾱ,    log c = log r − ½‖α‖² + ½ᾱᵀBᾱ.
+
+A coherent state is B = 0, b = α, log c = −½‖α‖², written down with no
+linear algebra (_coherent): the estimator's probes, the outcome |β⟩ of a
+fully measured state and the conditioned label |α′⟩ of postmeasure.
+
+The pair.  With M = I − B̄_a·B_b, u = b_b and v = b̄_a, the Gaussian
+integral ⟨ψ_a, ψ_b⟩ = ∫ conj(F_a)·F_b·e^{−‖z‖²} d²ⁿz/πⁿ is
+
+    log⟨ψ_a, ψ_b⟩ = log c̄_a + log c_b − ½ log det M
+                    + ½[vᵀu + (u + B_b v)ᵀM⁻¹(v + B̄_a u)].
+
+Since M⁻¹B̄_a = B̄_aM⁻ᵀ, the bracket is uᵀM⁻¹v + ½uᵀM⁻¹B̄_a u + ½vᵀB_bM⁻¹v,
+and the pair reads
+
+    log⟨ψ_a, ψ_b⟩ = log c̄_a + log c′ + b′ᵀv + ½vᵀB′v,
+    B′ = B_bM⁻¹,  b′ = M⁻ᵀu,  log c′ = log c_b − ½ log det M + ½b′ᵀB̄_a u:
+
+(B′, b′, c′) is the Bargmann triple of e^{½aᵀB̄_a a}ψ_b, the ket as the bra's
+covariance sees it (_seen), and the pair is its Bargmann function at v.
+M, M⁻¹ and log det M depend on the covariance pair alone, so they are
+computed once per covariance pair per call: once per call when the bra
+stack holds one covariance (see BranchStack), once per pair when it holds
+one per branch.  A coherent bra has B_a = 0, so M = I and the ket it sees
+is ψ_b's own triple: the stage is then no linear algebra at all.
+The center stage (_log_pair_overlaps) is then one dot product and one n×n
+quadratic form per pair of branches.
+
+Energy factors.  H = Σ_m (Q_m² + P_m² + 1) = 2N + 2n, and e^{sN} maps
+(B_b, b_b, c_b) to (e^{2s}B_b, e^{s}b_b, c_b), so ⟨ψ_a|H|ψ_b⟩/⟨ψ_a, ψ_b⟩ is
+2n + 2·∂_s log⟨ψ_a, e^{sN}ψ_b⟩ at s = 0.  There dM/ds = 2(M − I), so
+∂_s(−½ log det M) = tr M⁻¹ − n and ∂_sM⁻¹ = 2(M⁻² − M⁻¹); differentiating the
+bracket and writing x = M⁻¹v, y = b′ leaves
+
+    ⟨ψ_a|H|ψ_b⟩/⟨ψ_a, ψ_b⟩ = 2·tr M⁻¹ + 2[yᵀ(2x − v + B̄_a y) + xᵀB′v],
+
+read off the same M⁻¹ as the overlap (_pair_energy_factors).
+
+Branch of det M^{−½}.  A normalizable state has ‖B‖₂ < 1 (B = U·diag(tanh ρ_k)·Uᵀ
+by Takagi's factorization, ρ_k its squeezing parameters), so ‖B̄_aB_b‖₂ < 1,
+and every M(t) = I − t·B̄_aB_b with t ∈ [0, 1] has a positive definite
+Hermitian part: Re xᴴM(t)x ≥ (1 − t·‖B_a‖₂‖B_b‖₂)·‖x‖² > 0.  Unpivoted
+Gaussian elimination keeps that property: the Schur complement
+S = M₂₂ − m₂₁m₁₂/m₁₁ satisfies yᴴSy = xᴴMx for x = (−m₁₂y/m₁₁, y), so its
+Hermitian part is positive definite too, and by induction every pivot has a
+positive real part.  Along the path the pivots therefore move continuously
+without crossing the cut of the principal logarithm, and Σₖ Log pₖ is the
+continuous continuation of log det M(0) = 0: the branch of the integral,
+which is analytic in B̄_a from B̄_a = 0.  The kernel checks the Hermitian part
+of M(1) with a Cholesky factor (BranchPathError otherwise); it is linear in
+t and I at t = 0, so that covers the whole path.  The same argument gives
+branched_sqrt_det's root of a complex symmetric A + iB with A ≻ 0, whose
+Hermitian part is A, along A + itB (the stability of elimination without
+pivoting for matrices with a positive definite Hermitian part is in Golub &
+Van Loan, Matrix Computations).
 
 The product of the three overlaps around a triple of pure Gaussian states,
 one of them displaced,
@@ -34,22 +87,9 @@ gauge r_i = |r_i| its covariance implies and sums three log pair overlaps.
 Dividing T by two known anchor overlaps recovers the third overlap, phase
 included (overlaptriple).
 
-The stages, the triple product and the determinant root accept stacks of
+The kernel, the triple product and the determinant root accept stacks of
 inputs along leading axes, broadcast like numpy's batched linear algebra;
 a single pair or triple is the unstacked case of the same code.
-
-Complex square roots of determinants need a branch.  Every matrix whose
-root is taken is complex symmetric, M = A + iB with A, B real and A ≻ 0,
-so Re(xᴴMx) = xᴴAx > 0 for every x ≠ 0.  Unpivoted Gaussian elimination
-keeps this property: the Schur complement S = M₂₂ − m₂₁m₁₂/m₁₁ satisfies
-yᴴSy = xᴴMx for x = (−m₁₂y/m₁₁, y), so its Hermitian part is positive
-definite too, and by induction every pivot has a positive real part.
-The same holds at every point of the path M(t) = A + itB, t ∈ [0, 1]: the
-pivots move continuously without crossing the cut of the principal
-logarithm, and Σₖ Log pₖ is the continuous continuation of log det A.
-The tracked root is therefore exp(½·Σₖ Log pₖ), in closed form (the
-stability of elimination without pivoting for matrices with a positive
-definite symmetric part is in Golub & Van Loan, Matrix Computations).
 """
 
 from __future__ import annotations
@@ -68,7 +108,6 @@ from .core import (
     energy_of_gaussian,
     hat_d,
     hat_d_inv,
-    symplectic_form,
 )
 
 #: Pairs per stacked kernel call in gram; bounds its working memory
@@ -106,6 +145,41 @@ class BranchStack(NamedTuple):
         length 1 is shared by every entry and kept as it is."""
         gamma = self.gamma if len(self.gamma) == 1 else self.gamma[index]
         return BranchStack(gamma, self.alpha[index], self.r[index])
+
+
+class _Bargmann(NamedTuple):
+    """Bargmann triples (B, b, log c) of F_ψ(z) = c·exp(½zᵀBz + bᵀz), stacked.
+
+    quad: B, shape (..., n, n); (1, n, n) holds one B shared by every entry,
+        as the covariance axis of a BranchStack does.
+    lin: b, shape (..., n).
+    log_c: log c, shape (...).
+    """
+
+    quad: np.ndarray
+    lin: np.ndarray
+    log_c: np.ndarray
+
+    def take(self, index) -> "_Bargmann":
+        """The stack indexed along its branch axis, B kept when shared."""
+        quad = self.quad if len(self.quad) == 1 else self.quad[index]
+        return _Bargmann(quad, self.lin[index], self.log_c[index])
+
+
+class _Seen(NamedTuple):
+    """A ket stack's Bargmann triples (B′, b′, log c′) as a bra covariance
+    sees them, with the M⁻¹ of each covariance pair (see the module
+    docstring); a quad or minv axis of length 1 is shared."""
+
+    quad: np.ndarray
+    lin: np.ndarray
+    log_c: np.ndarray
+    minv: np.ndarray
+
+    def take(self, index) -> "_Seen":
+        """The stack indexed along its branch axis, B′ and M⁻¹ kept when shared."""
+        quad, minv = (m if len(m) == 1 else m[index] for m in (self.quad, self.minv))
+        return _Seen(quad, self.lin[index], self.log_c[index], minv)
 
 
 def _same_kind(state, stack: BranchStack):
@@ -194,10 +268,9 @@ def _log_det_positive(m: np.ndarray, what: str) -> np.ndarray:
 def _fidelity(a, b) -> np.ndarray:
     """Stacked 2ⁿ · exp(-δᵀ(Γ_a+Γ_b)⁻¹δ) / √det(Γ_a+Γ_b) with δ = d_a - d_b.
 
-    Split like the pair kernel, with a stage of its own: Cholesky
-    log-determinant and inverse of Γ_a+Γ_b once per covariance pair, then
-    one quadratic form per pair of centers.  It shares no intermediate with
-    the overlap, so it stays an independent check on it.
+    Cholesky log-determinant and inverse of Γ_a+Γ_b once per covariance
+    pair, then one quadratic form per pair of centers.  It shares no
+    intermediate with the overlap, so it stays an independent check on it.
     """
     n = a.gamma.shape[-1] // 2
     total = a.gamma + b.gamma
@@ -273,6 +346,109 @@ def branched_sqrt_det(m: np.ndarray):
     return _scalar_or_array(np.exp(_log_sqrt_det(m)))
 
 
+@lru_cache(maxsize=None)
+def _eye(n: int) -> np.ndarray:
+    """Read-only n×n identity."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def _bargmann(stack) -> _Bargmann:
+    """The Bargmann triples of a BranchStack or description (see the module
+    docstring), stacked like it; one covariance gives one B.
+
+    log c = log r − ½‖α‖² + ½ᾱᵀBᾱ is computed as log r − ½ᾱᵀb.
+
+    Raises:
+        ValidationError: some Γ_xx + I − iΓ_xp is singular, which no valid
+            covariance has.
+        PhaseRecoveryError: a reference overlap is zero or not finite.
+    """
+    gamma = stack.gamma
+    gxx = gamma[..., 0::2, 0::2]
+    eye = _eye(gxx.shape[-1])
+    try:
+        quad = 2.0 * np.linalg.solve(gxx + eye - 1j * gamma[..., 0::2, 1::2], gxx) - eye
+    except np.linalg.LinAlgError:
+        raise ValidationError("covariance has no Bargmann form; it is not valid") from None
+    r = np.asarray(stack.r, dtype=complex)
+    if not (r.all() and np.isfinite(r).all()):
+        raise PhaseRecoveryError("a reference overlap is zero or not finite; "
+                                 "no phase to recover")
+    alpha_bar = np.conj(stack.alpha)
+    lin = stack.alpha - _mv(quad, alpha_bar)
+    return _Bargmann(quad, lin, np.log(r) - 0.5 * _dot(alpha_bar, lin))
+
+
+def _coherent(alpha: np.ndarray) -> _Bargmann:
+    """The Bargmann triples (0, α, −½‖α‖²) of coherent states |α⟩, one shared
+    B = 0 for a stack of labels (..., n)."""
+    n = alpha.shape[-1]
+    quad = np.zeros((1, n, n) if alpha.ndim > 1 else (n, n))
+    return _Bargmann(quad, alpha, -0.5 * _dot(alpha, alpha.conj()))
+
+
+def _seen(bra_quad: np.ndarray, ket: _Bargmann) -> _Seen:
+    """The ket triples as a bra with B = bra_quad sees them, with M⁻¹; the
+    covariance-pair stage, over the broadcast leading axes of bra_quad and
+    ket.quad (see the module docstring).
+
+    Raises:
+        BranchPathError: some M = I − B̄_a·B_b has no positive definite
+            Hermitian part, which no pair of normalizable states has.
+    """
+    if not bra_quad.any():
+        # B_a = 0 makes M = I: the seen triples are the ket's own
+        eye = _eye(ket.quad.shape[-1])
+        return _Seen(*ket, eye if ket.quad.ndim == 2 else eye[None])
+    bra_bar = bra_quad.conj()
+    m = _eye(ket.quad.shape[-1]) - bra_bar @ ket.quad
+    try:
+        np.linalg.cholesky(m + np.swapaxes(m, -1, -2).conj())
+    except np.linalg.LinAlgError:
+        raise BranchPathError("I − B̄_a·B_b has no positive definite Hermitian part; "
+                              "some state is not normalizable") from None
+    minv = np.linalg.inv(m)
+    lin = _mv(np.swapaxes(minv, -1, -2), ket.lin)
+    log_c = ket.log_c + 0.5 * (_dot(lin, _mv(bra_bar, ket.lin)) - _log_pivot_sum(m))
+    return _Seen(ket.quad @ minv, lin, log_c, minv)
+
+
+def _log_pair_overlaps(bra: _Bargmann, ket: _Seen) -> np.ndarray:
+    """log⟨ψ_a, ψ_b⟩ = log c̄_a + log c′ + b′ᵀv + ½vᵀB′v with v = b̄_a, over
+    a bra stack and a ket stack seen by its covariances (see _seen), their
+    leading axes broadcast."""
+    v = bra.lin.conj()
+    return (bra.log_c.conj() + ket.log_c + _dot(ket.lin, v)
+            + 0.5 * _quadratic(ket.quad, v))
+
+
+def _pair_overlaps(bra: _Bargmann, ket: _Seen) -> np.ndarray:
+    """⟨ψ_a, ψ_b⟩, the exponential of _log_pair_overlaps: the entry point of
+    gram, its cross form and the estimator's probe rows, at most GRAM_BLOCK
+    pairs per call there."""
+    return np.exp(_log_pair_overlaps(bra, ket))
+
+
+def _log_overlaps(a: _Bargmann, b: _Bargmann) -> np.ndarray:
+    """log⟨ψ_a, ψ_b⟩ over two broadcast-compatible Bargmann stacks, the ket
+    seen by every covariance pair in one call."""
+    return _log_pair_overlaps(a, _seen(a.quad, b))
+
+
+def _pair_energy_factors(bra: _Bargmann, ket: _Seen) -> np.ndarray:
+    """⟨ψ_a|H|ψ_b⟩ / ⟨ψ_a, ψ_b⟩ = 2·tr M⁻¹ + 2[yᵀ(2x − v + B̄_a y) + xᵀB′v],
+    with v = b̄_a, x = M⁻¹v and y = b′, over stacks as in _log_pair_overlaps
+    (derived in the module docstring)."""
+    v = bra.lin.conj()
+    x = _mv(ket.minv, v)
+    y = ket.lin
+    return 2.0 * (np.trace(ket.minv, axis1=-2, axis2=-1)
+                  + _dot(y, 2.0 * x - v + _mv(bra.quad.conj(), y))
+                  + _dot(x, _mv(ket.quad, v)))
+
+
 def triple_overlap_product(
     gamma1: np.ndarray, d1: np.ndarray,
     gamma2: np.ndarray, d2: np.ndarray,
@@ -299,9 +475,10 @@ def triple_overlap_product(
     alpha = np.asarray(alpha, dtype=complex)
     displaced = BranchStack(gamma1, psi1.alpha - alpha, psi1.r * np.exp(
         1j * np.imag(_dot(psi1.alpha, np.conj(alpha)))))
-    return _scalar_or_array(np.exp(_log_pair_overlaps(psi3, displaced)
-                                   + _log_pair_overlaps(psi1, psi2)
-                                   + _log_pair_overlaps(psi2, psi3)))
+    form1, form2, form3 = (_bargmann(psi) for psi in (psi1, psi2, psi3))
+    return _scalar_or_array(np.exp(_log_overlaps(form3, _bargmann(displaced))
+                                   + _log_overlaps(form1, form2)
+                                   + _log_overlaps(form2, form3)))
 
 
 def overlaptriple(
@@ -332,172 +509,113 @@ def overlaptriple(
     return _scalar_or_array(value)
 
 
-@lru_cache(maxsize=None)
-def _stage_constants(dim: int) -> tuple:
-    """Read-only (I, iΩ, ½(I − iΩ), ¼I) of the covariance stage in 2n = dim."""
-    eye = np.eye(dim)
-    iom = 1j * symplectic_form(dim // 2)
-    constants = (eye, iom, 0.5 * (eye - iom), 0.25 * eye)
-    for array in constants:
-        array.flags.writeable = False
-    return constants
-
-
-def _covariance_stage(gamma_a: np.ndarray, gamma_b: np.ndarray) -> tuple:
-    """(Q, log-constant) of ⟨ψ_a, ψ_b⟩ for broadcast-compatible (Γ_a, Γ_b).
-
-    Derivation: with χ the coherent state |α_a⟩ (covariance I) and
-    λ = α_a − α_b, D(λ)χ is |α_b⟩ up to a Weyl phase, so the trace of
-    three Gaussian projectors tr(D(λ)·|χ⟩⟨χ|·|ψ_a⟩⟨ψ_a|·|ψ_b⟩⟨ψ_b|) is
-    r̄_b·r_a·⟨ψ_a, ψ_b⟩ times that phase.  The product |ψ_a⟩⟨ψ_a|ψ_b⟩⟨ψ_b|
-    is a Gaussian operator of complex covariance Γ_b − (Γ_b+iΩ)x(Γ_b−iΩ)
-    and weight 1/√det((Γ_a+Γ_b)/2), x = (Γ_a+Γ_b)⁻¹; its trace against the
-    displaced coherent projector is a Gaussian integral over
-    s14 = I + Γ_b − (Γ_b+iΩ)x(Γ_b−iΩ).  In the centers only δ = d_a − d_b
-    enters, through ξ = Ωδ, and completing the square leaves the exponent
-    −δᵀQδ plus the phase the center stage carries, with
-
-        K = I − (Γ_b+iΩ)x − ½i(I+iΩ)Ω = ½(I − iΩ) − (Γ_b+iΩ)x,
-        Q = x + ¼I + Kᵀs14⁻¹K,
-
-    and the log-constant −log√det((Γ_a+Γ_b)/2) − log√det(s14/2), both
-    roots on the branch of branched_sqrt_det.  Q is complex symmetric.
-    The result is stacked over the broadcast leading axes of the two
-    covariances, not over any centers.
-    """
-    dim = gamma_a.shape[-1]
-    eye, iom, half_k, quarter = _stage_constants(dim)
-    s23 = gamma_a + gamma_b
-    x = np.linalg.inv(s23)
-    gbx = (gamma_b + iom) @ x
-    s14 = eye + gamma_b - gbx @ (gamma_b - iom)
-    k = half_k - gbx
-    q = x + quarter + np.swapaxes(k, -1, -2) @ np.linalg.solve(s14, k)
-    return q, -_log_sqrt_det(s23 / 2) - _log_sqrt_det(s14 / 2)
-
-
-def _log_pair_overlaps(a: BranchStack, b: BranchStack) -> np.ndarray:
-    """log⟨ψ_a, ψ_b⟩ over two broadcast-compatible stacks.
-
-    The covariance stage runs on (a.gamma, b.gamma), once per covariance
-    pair; the center stage is, per pair,
-
-        log G = log-constant − δᵀQδ − i·Im(α_a·ᾱ_b) − log(r̄_b·r_a).
-
-    The trace's phase −i·δᵀΩᵀd_a and the Weyl phase of D(λ)|α_a⟩,
-    +i·Im(α_a·ᾱ_b), sum to −i·Im(α_a·ᾱ_b) since d = d̂(α).
-
-    Raises:
-        PhaseRecoveryError: a reference overlap is zero.
-    """
-    q, log_c = _covariance_stage(a.gamma, b.gamma)
-    delta = a.d - b.d
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_g = (log_c - _quadratic(q, delta)
-                 - 1j * (a.alpha * b.alpha.conj()).imag.sum(axis=-1)
-                 - np.log(np.conj(b.r) * a.r))
-    if not np.all(np.isfinite(log_g)):
-        raise PhaseRecoveryError("a reference overlap is zero; no phase to recover")
-    return log_g
-
-
-def _pair_overlaps(a: BranchStack, b: BranchStack) -> np.ndarray:
-    """⟨ψ_a, ψ_b⟩ over two broadcast-compatible stacks: the exponential of
-    _log_pair_overlaps, and the entry point of gram and its cross form."""
-    return np.exp(_log_pair_overlaps(a, b))
-
-
-def _pair_energy_factors(a: BranchStack, b: BranchStack) -> np.ndarray:
-    """⟨ψ_a|H|ψ_b⟩ / ⟨ψ_a, ψ_b⟩ over two broadcast-compatible stacks.
-
-    H = Σ_m (Q_m² + P_m² + 1) = n + RᵀR.  With D(β) = exp(iξᵀR), ξ = Ωd̂(β)
-    up to sign, F(η) = ⟨ψ_a, D(β)ψ_b⟩ at η = d̂(β) has ⟨ψ_a|RᵀR|ψ_b⟩ =
-    −tr ∇²F(0).  D(β)ψ_b is the description (Γ_b, α_b − β, r_b·e^{i·Im(α_b β̄)}),
-    so by the center stage of _log_pair_overlaps F = G·e^φ with
-
-        φ(η) = −2δᵀQη − ηᵀQη − ½i·(d_a + d_b)ᵀΩη,
-
-    Q from the same covariance stage.  The factor n − tr ∇²φ − ∇φᵀ∇φ at
-    η = 0 is then n + 2·tr Q − gᵀg with g = −2Qδ + ½i·Ω(d_a + d_b).
-    """
-    dim = a.gamma.shape[-1]
-    q, _ = _covariance_stage(a.gamma, b.gamma)
-    d_a, d_b = a.d, b.d
-    g = -2.0 * _mv(q, d_a - d_b) + 0.5j * ((d_a + d_b) @ symplectic_form(dim // 2).T)
-    return dim // 2 + 2.0 * np.trace(q, axis1=-2, axis2=-1) - _dot(g, g)
-
-
-def _blocked(kernel, a: BranchStack, k: np.ndarray,
-             b: BranchStack, j: np.ndarray) -> np.ndarray:
-    """kernel(ψ_a,k, ψ_b,j) for index arrays k, j, GRAM_BLOCK pairs per call."""
-    values = np.empty(k.size, dtype=complex)
+def _blocked(kernel, a, k: np.ndarray, b, j: np.ndarray, width: tuple = ()) -> np.ndarray:
+    """kernel(a_k, b_j) for index arrays k, j, GRAM_BLOCK pairs per call; a
+    kernel returning `width` values per pair fills a (*width, pairs) array."""
+    values = np.empty(width + k.shape, dtype=complex)
     for lo in range(0, k.size, GRAM_BLOCK):
         block = slice(lo, lo + GRAM_BLOCK)
-        values[block] = kernel(a.take(k[block]), b.take(j[block]))
+        values[..., block] = kernel(a.take(k[block]), b.take(j[block]))
     return values
+
+
+def _pairs(kernel, a: _Bargmann, k: np.ndarray, b: _Bargmann, j: np.ndarray,
+           width: tuple = ()) -> np.ndarray:
+    """_blocked kernel(bra a_k, ket b_j as a_k sees it).  A bra stack holding
+    one B sees the ket stack once per call; one with a B per branch, once
+    per pair."""
+    if len(a.quad) == 1:
+        return _blocked(kernel, a, k, _seen(a.quad, b), j, width)
+    return _blocked(lambda bra, ket: kernel(bra, _seen(bra.quad, ket)), a, k, b, j, width)
 
 
 def gram(psi_a: BranchStack, psi_b: Optional[BranchStack] = None) -> np.ndarray:
     """Matrix of branch overlaps G_kj = ⟨ψ_a,k, ψ_b,j⟩, phases included.
 
-    The pairs are evaluated by the two-stage pair kernel, GRAM_BLOCK pairs
-    per call.  A stack holding one covariance runs the covariance stage once
-    per call; one with a covariance per branch (such as a stack_branches
-    stack never wrapped in a superposition) runs it once per pair, even if
-    its covariances are equal.  Without psi_b
-    this is the Gram matrix of psi_a: only the upper triangle k < j is
-    evaluated, the lower triangle is its conjugate and the diagonal is 1,
-    since every branch state is normalized.
+    Each stack is converted to Bargmann form once per call, and the pairs
+    are evaluated by the pair kernel, GRAM_BLOCK pairs per call.  A psi_a
+    holding one covariance runs the covariance-pair stage once per call;
+    one with a covariance per branch (such as a stack_branches stack never
+    wrapped in a superposition) runs it once per pair, even if its
+    covariances are equal.  Without psi_b this is the Gram matrix of psi_a:
+    only the upper triangle k < j is evaluated, the lower triangle is its
+    conjugate and the diagonal is 1, since every branch state is normalized.
 
     Raises:
         ValidationError: the two stacks have different mode counts.
         PhaseRecoveryError: a reference overlap is zero.
     """
     chi_a = psi_a.r.size
+    a = _bargmann(psi_a)
     if psi_b is None:
         k, j = _upper_triangle(chi_a)
         g = np.eye(chi_a, dtype=complex)
-        g[k, j] = _blocked(_pair_overlaps, psi_a, k, psi_a, j)
-        g[j, k] = np.conj(g[k, j])
+        values = _pairs(_pair_overlaps, a, k, a, j)
+        g[k, j] = values
+        g[j, k] = np.conj(values)
         return g
     if psi_a.gamma.shape[-1] != psi_b.gamma.shape[-1]:
         raise ValidationError("descriptions have different mode counts")
-    k, j = _cross_indices(chi_a, psi_b.r.size)
-    return _blocked(_pair_overlaps, psi_a, k, psi_b, j).reshape(chi_a, psi_b.r.size)
+    return _cross(a, _bargmann(psi_b))
 
 
-def energy_gram(psi: BranchStack, g: np.ndarray) -> np.ndarray:
-    """Matrix H_kj = ⟨ψ_k|H|ψ_j⟩ of H = Σ_m(Q_m² + P_m² + 1) over psi's branches.
+def _cross(a: _Bargmann, b: _Bargmann) -> np.ndarray:
+    """Matrix ⟨ψ_a,k, ψ_b,j⟩ of two Bargmann stacks, GRAM_BLOCK pairs per
+    kernel call."""
+    chi_a, chi_b = a.log_c.size, b.log_c.size
+    k, j = _cross_indices(chi_a, chi_b)
+    return _pairs(_pair_overlaps, a, k, b, j).reshape(chi_a, chi_b)
 
-    g is gram(psi).  The pairs k < j are g_kj times a closed-form factor
-    read off the pair kernel's covariance stage (see _pair_energy_factors),
-    GRAM_BLOCK pairs per call, with covariances held as in gram; the
-    lower triangle is their conjugate and the diagonal holds the branch
-    energies ½·tr Γ + dᵀd + n.
+
+def _overlaps_and_energies(bra: _Bargmann, ket: _Seen) -> np.ndarray:
+    """⟨ψ_a, ψ_b⟩ and ⟨ψ_a|H|ψ_b⟩ stacked, from one seen ket."""
+    g = _pair_overlaps(bra, ket)
+    return np.stack([g, g * _pair_energy_factors(bra, ket)])
+
+
+def energy_gram(psi: BranchStack) -> tuple:
+    """(G, H): gram(psi) and H_kj = ⟨ψ_k|H|ψ_j⟩ of H = Σ_m(Q_m² + P_m² + 1).
+
+    The pairs k < j of both come from one conversion of psi and one
+    covariance-pair stage per call or per pair, as in gram: H_kj is G_kj
+    times a closed-form factor read off the same M⁻¹ (see
+    _pair_energy_factors).  The lower triangles are the conjugates; the
+    diagonals are 1 and the branch energies ½·tr Γ + dᵀd + n.
     """
-    k, j = _upper_triangle(psi.r.size)
+    chi = psi.r.size
+    k, j = _upper_triangle(chi)
+    a = _bargmann(psi)
+    g = np.eye(chi, dtype=complex)
     h = np.diag(energy_of_gaussian(psi.gamma, psi.d)).astype(complex)
-    h[k, j] = g[k, j] * _blocked(_pair_energy_factors, psi, k, psi, j)
+    g[k, j], h[k, j] = _pairs(_overlaps_and_energies, a, k, a, j, (2,))
+    g[j, k] = np.conj(g[k, j])
     h[j, k] = np.conj(h[k, j])
-    return h
+    return g, h
 
 
-def gram_defect(psi: BranchStack, g: np.ndarray) -> float:
-    """Largest | |G_kj|² - pair_fidelity(ψ_k, ψ_j) | over the pairs k < j.
+def gram_defect(psi_a: BranchStack, g: np.ndarray,
+                psi_b: Optional[BranchStack] = None) -> float:
+    """Largest | |G_kj|² - pair_fidelity(ψ_a,k, ψ_b,j) | over the pairs gram
+    computed: k < j for g = gram(psi_a), every pair for g = gram(psi_a, psi_b).
 
     The fidelity needs no phase data, so this checks every overlap gram
-    computed for psi against an independent closed form.  The pairs are
-    evaluated GRAM_BLOCK per call with covariances held as in gram, so a
-    stack holding one covariance takes one Cholesky factor and one inverse per
+    computed against an independent closed form.  The pairs are evaluated
+    GRAM_BLOCK per call with covariances held as in gram, so a stack
+    holding one covariance takes one Cholesky factor and one inverse per
     block.
     """
-    k, j = _upper_triangle(psi.r.size)
-    f = _blocked(_fidelity, psi, k, psi, j).real
-    return float(np.max(np.abs(np.abs(g[k, j]) ** 2 - f), initial=0.0))
+    if psi_b is None:
+        k, j = _upper_triangle(psi_a.r.size)
+        psi_b, values = psi_a, g[k, j]
+    else:
+        k, j = _cross_indices(psi_a.r.size, psi_b.r.size)
+        values = g.reshape(-1)
+    f = _blocked(_fidelity, psi_a, k, psi_b, j).real
+    return float(np.max(np.abs(np.abs(values) ** 2 - f), initial=0.0))
 
 
 def overlap(delta1: GaussianDescription, delta2: GaussianDescription) -> complex:
     """⟨ψ(Δ₁), ψ(Δ₂)⟩, phase included: the one-pair case of gram's kernel."""
     if delta1.n != delta2.n:
         raise ValidationError("descriptions have different mode counts")
-    return _scalar_or_array(_pair_overlaps(delta1, delta2))
+    return _scalar_or_array(np.exp(_log_overlaps(_bargmann(delta1), _bargmann(delta2))))

@@ -14,9 +14,11 @@ come in two flavors:
   triangle by the stacked pair kernel.
 * fast_norm is a randomized estimator: it samples coherent probes uniformly
   from a phase-space ball whose radius comes from an energy bound, and
-  averages the heterodyne density of the probes against Ψ.  The probes of
-  a run of samples are stacked as coherent branches and evaluated against
-  every branch by the same stacked pair kernel, in gram's cross form.
+  averages the heterodyne density of the probes against Ψ.  Ψ's branches
+  are converted to Bargmann form once per call, and each block of probes,
+  coherent states written down with B = 0, is evaluated against every
+  branch by the same stacked pair kernel, max(1, GRAM_BLOCK // χ) probes
+  at a time.
   Each sample touches every branch once, so the cost is O(χ) per sample;
   the parameters target (1±ε)·‖Ψ‖² with probability at least 1-p_fail,
   which is not yet certified (see fast_norm_parameters).
@@ -40,7 +42,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -58,9 +60,9 @@ from .measurement import postmeasure
 from .overlaps import (
     GRAM_BLOCK,
     BranchStack,
-    _blocked,
-    _cross_indices,
-    _fidelity,
+    _bargmann,
+    _coherent,
+    _cross,
     energy_gram,
     gram,
     gram_defect,
@@ -155,21 +157,10 @@ def _require_fidelity(defect: float) -> None:
             f"(tolerance {GRAM_FIDELITY_TOL:.0e})")
 
 
-def _checked_gram(psi: GaussianSuperposition) -> np.ndarray:
-    """gram(psi.branches), each computed entry checked as exact_norm says."""
-    g = gram(psi.branches)
-    _require_fidelity(gram_defect(psi.branches, g))
-    return g
-
-
-def _checked_cross_gram(psi_a: BranchStack, psi_b: BranchStack) -> np.ndarray:
-    """gram(psi_a, psi_b), each entry checked as exact_norm says, GRAM_BLOCK
-    pairs per fidelity call.  The fidelity runs first, so a covariance sum
-    that is not positive definite is a ValidationError, as in conditioning."""
-    k, j = _cross_indices(psi_a.r.size, psi_b.r.size)
-    fidelity = _blocked(_fidelity, psi_a, k, psi_b, j).real
+def _checked_gram(psi_a: BranchStack, psi_b: Optional[BranchStack] = None) -> np.ndarray:
+    """gram(psi_a, psi_b), each computed entry checked as exact_norm says."""
     g = gram(psi_a, psi_b)
-    _require_fidelity(float(np.max(np.abs(np.abs(g.reshape(-1)) ** 2 - fidelity))))
+    _require_fidelity(gram_defect(psi_a, g, psi_b))
     return g
 
 
@@ -193,7 +184,7 @@ def exact_norm(psi: GaussianSuperposition) -> float:
             GRAM_FIDELITY_TOL, which signals an inconsistent branch (for
             instance a reference overlap of the wrong magnitude).
     """
-    return float(np.sqrt(max(_quadratic_form(psi.coeffs, _checked_gram(psi)), 0.0)))
+    return float(np.sqrt(max(_quadratic_form(psi.coeffs, _checked_gram(psi.branches)), 0.0)))
 
 
 class FastNormParameters(NamedTuple):
@@ -232,16 +223,15 @@ def fast_norm_parameters(energy_bound: float, epsilon: float, p_fail: float) -> 
     return FastNormParameters(radius, int(math.ceil(count)))
 
 
-def _probe_stack(n: int, seed: int, block: int, size: int, radius: float) -> BranchStack:
-    """The size coherent probes of stream block `block`, uniform in B_R, as one stack.
+def _probe_labels(n: int, seed: int, block: int, size: int, radius: float) -> np.ndarray:
+    """The labels (size, n) of the size coherent probes of stream block
+    `block`, uniform in B_R.
 
     The block draws all its labels at once from its own Philox stream (key
-    seed, counter block in the top word).  The stack holds the probes'
-    common covariance Γ = I once (see overlaps.BranchStack.take).
+    seed, counter block in the top word).
     """
     draw = np.random.Generator(np.random.Philox(key=seed, counter=[0, 0, 0, block]))
-    alpha = _uniform_complex_ball(n, radius, draw, size)
-    return BranchStack(np.eye(2 * n)[None], alpha, np.ones(size, dtype=complex))
+    return _uniform_complex_ball(n, radius, draw, size)
 
 
 def _is_integer(value) -> bool:
@@ -256,9 +246,11 @@ def fast_norm(psi: GaussianSuperposition, epsilon: float, p_fail: float,
     B_R and w = R²ⁿ/n!; the estimate is the mean of the L samples.  The
     samples come in stream blocks of GRAM_BLOCK: block b holds samples
     [b·GRAM_BLOCK, min((b+1)·GRAM_BLOCK, L)) and draws its probes at once
-    from its own stream.  The amplitudes ⟨α_ℓ, ψ_j⟩ of a block come from
-    cross-form gram calls against psi.branches, at most GRAM_BLOCK pairs
-    (or one row) per call, so the working memory does not grow with L.
+    from its own stream.  psi.branches are converted to Bargmann form once
+    per call; the amplitudes ⟨α_ℓ, ψ_j⟩ of a block are Bargmann functions
+    of the branches at ᾱ_ℓ, taken max(1, GRAM_BLOCK // χ) probes at a
+    time, so the kernel's working memory is O(GRAM_BLOCK + χ) whatever L
+    and χ.
 
     Args:
         psi: the superposition; cost is O(χ) per sample.
@@ -289,17 +281,18 @@ def fast_norm(psi: GaussianSuperposition, epsilon: float, p_fail: float,
         raise ValidationError(f"need an integer worker count of at least 1, got {workers!r}")
     radius, samples = fast_norm_parameters(energy_bound, epsilon, p_fail)
     weight = radius ** (2 * psi.n) / math.factorial(psi.n)
+    ket = _bargmann(psi.branches)
     rows = max(1, GRAM_BLOCK // psi.chi)
-    values = np.empty(samples, dtype=float)
+    amplitudes = np.empty(samples, dtype=complex)
 
     def fill(block: int) -> None:
-        # one stream per block, not per gram call: a Philox set-up costs tens of µs
+        # one stream per block, not per row slice: a Philox set-up costs tens of µs
         lo = block * GRAM_BLOCK
-        probes = _probe_stack(psi.n, int(seed), block, min(GRAM_BLOCK, samples - lo), radius)
-        for start in range(0, probes.r.size, rows):
-            g = gram(probes.take(slice(start, start + rows)), psi.branches)
-            values[lo + start:lo + start + len(g)] = weight * np.abs(
-                (g * psi.coeffs).sum(axis=1)) ** 2
+        probes = _coherent(_probe_labels(psi.n, int(seed), block,
+                                         min(GRAM_BLOCK, samples - lo), radius))
+        for start in range(0, probes.log_c.size, rows):
+            g = _cross(probes.take(slice(start, start + rows)), ket)
+            amplitudes[lo + start:lo + start + len(g)] = (g * psi.coeffs).sum(axis=1)
 
     blocks = range(-(-samples // GRAM_BLOCK))
     workers = min(int(workers), len(blocks))
@@ -310,7 +303,7 @@ def fast_norm(psi: GaussianSuperposition, epsilon: float, p_fail: float,
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fill, blocks))
     # fixed-order reduction keeps the result independent of the worker split
-    return float(np.sum(values) / samples)
+    return float(np.sum(weight * np.abs(amplitudes) ** 2) / samples)
 
 
 def post_measurement_superposition(
@@ -343,8 +336,8 @@ def _projected_norm_sq(psi: GaussianSuperposition, outcome: np.ndarray) -> float
     so Π_β Ψ = |β⟩ ⊗ Σ_j c'_j φ_j and ‖Π_β Ψ‖ = ‖Σ_j c'_j φ_j‖:
 
     * k = n: Π_β Ψ = |β⟩⟨β, Ψ⟩, and the norm is |Σ_j c_j ⟨β, ψ_j⟩|, one
-      cross-form gram row of the coherent |β⟩ (Γ = I, r = 1) against the
-      stack, each entry checked against the phase-free pair fidelity.
+      row of the coherent |β⟩ (B = 0) against the stack, each entry checked
+      against the phase-free pair fidelity.
       There is no conditioning, no Gram matrix and no branch dropping.
     * k < n: φ_j is the unmeasured block of the conditioned branch j,
       (Γ_BB, α'_B, r'), with r' unchanged since ⟨β, β⟩ = 1; the sliced
@@ -357,9 +350,10 @@ def _projected_norm_sq(psi: GaussianSuperposition, outcome: np.ndarray) -> float
     """
     n = psi.n
     if outcome.size == n:
+        row = _cross(_coherent(outcome[None]), _bargmann(psi.branches))
         probe = BranchStack(np.eye(2 * n)[None], outcome[None], np.ones(1, dtype=complex))
-        row = _checked_cross_gram(probe, psi.branches)[0]
-        return float(np.abs((psi.coeffs * row).sum()) ** 2)
+        _require_fidelity(gram_defect(probe, row, psi.branches))
+        return float(np.abs((psi.coeffs * row[0]).sum()) ** 2)
     post = post_measurement_superposition(psi, outcome)
     k = outcome.size
     gamma, alpha, r = post.branches
@@ -464,7 +458,7 @@ def superposition_energy_exact(psi: GaussianSuperposition, *,
     Exact for every mode count, in closed form: ⟨Ψ|H|Ψ⟩ = Σ_kj c̄_k c_j H_kj
     over the branch energy matrix (see overlaps.energy_gram), divided by
     ‖Ψ‖² = Σ_kj c̄_k c_j G_kj.  Each off-diagonal H_kj comes from the same
-    covariance stage of the pair kernel as the Gram entry G_kj; the
+    M⁻¹ of the pair kernel as the Gram entry G_kj, in the same pass; the
     diagonal holds the branch energies ½·tr Γ + dᵀd + n.
 
     Args:
@@ -479,7 +473,8 @@ def superposition_energy_exact(psi: GaussianSuperposition, *,
             unit_norm is set and ‖Ψ‖ is not 1.
         NumericError: a Gram entry misses its pair fidelity (see exact_norm).
     """
-    g = _checked_gram(psi)
+    g, h = energy_gram(psi.branches)
+    _require_fidelity(gram_defect(psi.branches, g))
     norm_sq = _quadratic_form(psi.coeffs, g)
     floor = 4 * psi.chi ** 2 * np.finfo(float).eps * _quadratic_form(
         np.abs(psi.coeffs), np.abs(g))
@@ -489,4 +484,4 @@ def superposition_energy_exact(psi: GaussianSuperposition, *,
             f"{floor:.1e} of its Gram sum: it is zero and has no energy")
     if unit_norm:
         _require_unit_norm(math.sqrt(norm_sq))
-    return _quadratic_form(psi.coeffs, energy_gram(psi.branches, g)) / norm_sq
+    return _quadratic_form(psi.coeffs, h) / norm_sq

@@ -11,6 +11,7 @@ from gaussum.core import (
     Beamsplitter,
     Displacement,
     GaussianDescription,
+    NumericError,
     PhaseShift,
     Squeeze,
     ValidationError,
@@ -25,6 +26,7 @@ from gaussum.core import (
     vacuum_description,
     validate_description,
 )
+from gaussum.overlaps import BranchStack
 
 SQRT2 = np.sqrt(2.0)
 
@@ -164,6 +166,21 @@ class TestDescriptions:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             GaussianDescription(np.eye(4), np.zeros(1, dtype=complex), 1.0)
+
+    def test_reference_magnitude_needs_positive_definite_i_plus_gamma(self):
+        # I + Γ = -2I has det 4 > 0 but no positive definite square root
+        with pytest.raises(NumericError, match="positive definite"):
+            reference_overlap_magnitude(-3.0 * np.eye(2))
+        stack = np.stack([np.eye(2), -3.0 * np.eye(2), np.diag([4.0, 0.25])])
+        with pytest.raises(NumericError):
+            reference_overlap_magnitude(stack)
+        good = reference_overlap_magnitude(stack[[0, 2]])
+        expected = (2.0 / np.sqrt(np.linalg.det(np.eye(2) + stack[[0, 2]]))) ** 0.5
+        assert np.allclose(good, expected, rtol=1e-14, atol=0.0), f"{good} vs {expected}"
+        r = np.array([1.0, 1.0, good[1]])
+        report = validate_description(BranchStack(stack, np.zeros((3, 1)), r))
+        assert report.ok.tolist() == [True, False, True], f"{report}"
+        assert np.isnan(report.r_defect[1]) and not np.isnan(report.r_defect[[0, 2]]).any()
 
 
 class TestEnergy:

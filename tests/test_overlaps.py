@@ -3,6 +3,9 @@ recovery, and the stacked Gram kernel."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -33,13 +36,20 @@ from gaussum.core import (
     vacuum_description,
 )
 from gaussum.evolution import apply_squeeze, apply_unitary
-from gaussum.fock import fock_apply_gate, fock_from_description, fock_overlap, fock_project
+from gaussum.fock import (
+    fock_apply_gate,
+    fock_from_description,
+    fock_overlap,
+    fock_project,
+    fock_vacuum,
+)
 from gaussum.measurement import postmeasure
 from gaussum.overlaps import (
     GRAM_BLOCK,
     BranchStack,
     _dot,
     _mv,
+    _quadratic,
     branched_sqrt_det,
     coherent_overlap,
     gram,
@@ -53,7 +63,7 @@ from gaussum.overlaps import (
 from gaussum.states import appendix_d_state, cat_state, gkp_comb
 from gaussum.superposition import (
     GaussianSuperposition,
-    _probe_stack,
+    _probe_labels,
     exact_norm,
     fast_norm,
     post_measurement_superposition,
@@ -447,14 +457,164 @@ def _coherent_chain(n: int, chi: int, seed: int, condition: bool = True):
     return post_measurement_superposition(psi, np.array([0.2 - 0.3j]))
 
 
+@lru_cache(maxsize=None)
+def _stage_constants(dim: int) -> tuple:
+    """Read-only (I, iΩ, ½(I − iΩ), ¼I) of the covariance stage in 2n = dim."""
+    eye = np.eye(dim)
+    iom = 1j * symplectic_form(dim // 2)
+    constants = (eye, iom, 0.5 * (eye - iom), 0.25 * eye)
+    for array in constants:
+        array.flags.writeable = False
+    return constants
+
+
+def _covariance_stage(gamma_a: np.ndarray, gamma_b: np.ndarray) -> tuple:
+    """(Q, log-constant) of ⟨ψ_a, ψ_b⟩ for broadcast-compatible (Γ_a, Γ_b).
+
+    Derivation: with χ the coherent state |α_a⟩ (covariance I) and
+    λ = α_a − α_b, D(λ)χ is |α_b⟩ up to a Weyl phase, so the trace of
+    three Gaussian projectors tr(D(λ)·|χ⟩⟨χ|·|ψ_a⟩⟨ψ_a|·|ψ_b⟩⟨ψ_b|) is
+    r̄_b·r_a·⟨ψ_a, ψ_b⟩ times that phase.  The product |ψ_a⟩⟨ψ_a|ψ_b⟩⟨ψ_b|
+    is a Gaussian operator of complex covariance Γ_b − (Γ_b+iΩ)x(Γ_b−iΩ)
+    and weight 1/√det((Γ_a+Γ_b)/2), x = (Γ_a+Γ_b)⁻¹; its trace against the
+    displaced coherent projector is a Gaussian integral over
+    s14 = I + Γ_b − (Γ_b+iΩ)x(Γ_b−iΩ).  In the centers only δ = d_a − d_b
+    enters, through ξ = Ωδ, and completing the square leaves the exponent
+    −δᵀQδ plus the phase the center stage carries, with
+
+        K = I − (Γ_b+iΩ)x − ½i(I+iΩ)Ω = ½(I − iΩ) − (Γ_b+iΩ)x,
+        Q = x + ¼I + Kᵀs14⁻¹K,
+
+    and the log-constant −log√det((Γ_a+Γ_b)/2) − log√det(s14/2), both
+    roots on the branch of branched_sqrt_det.  Q is complex symmetric.
+    The result is stacked over the broadcast leading axes of the two
+    covariances, not over any centers.
+    """
+    dim = gamma_a.shape[-1]
+    eye, iom, half_k, quarter = _stage_constants(dim)
+    s23 = gamma_a + gamma_b
+    x = np.linalg.inv(s23)
+    gbx = (gamma_b + iom) @ x
+    s14 = eye + gamma_b - gbx @ (gamma_b - iom)
+    k = half_k - gbx
+    q = x + quarter + np.swapaxes(k, -1, -2) @ np.linalg.solve(s14, k)
+    return q, -overlaps._log_sqrt_det(s23 / 2) - overlaps._log_sqrt_det(s14 / 2)
+
+
+def _two_stage_log_overlaps(a: BranchStack, b: BranchStack) -> np.ndarray:
+    """log⟨ψ_a, ψ_b⟩ over two broadcast-compatible stacks by the 2n×2n
+    kernel the Bargmann kernel replaced: the covariance stage on
+    (a.gamma, b.gamma), then per pair
+
+        log G = log-constant − δᵀQδ − i·Im(α_a·ᾱ_b) − log(r̄_b·r_a).
+
+    The trace's phase −i·δᵀΩᵀd_a and the Weyl phase of D(λ)|α_a⟩,
+    +i·Im(α_a·ᾱ_b), sum to −i·Im(α_a·ᾱ_b) since d = d̂(α).
+    """
+    q, log_c = _covariance_stage(a.gamma, b.gamma)
+    delta = a.d - b.d
+    return (log_c - _quadratic(q, delta)
+            - 1j * (a.alpha * b.alpha.conj()).imag.sum(axis=-1)
+            - np.log(np.conj(b.r) * a.r))
+
+
+def _two_stage_energy_factors(a: BranchStack, b: BranchStack) -> np.ndarray:
+    """⟨ψ_a|H|ψ_b⟩ / ⟨ψ_a, ψ_b⟩ over two broadcast-compatible stacks, from
+    the 2n×2n kernel's Q.
+
+    H = Σ_m (Q_m² + P_m² + 1) = n + RᵀR.  With D(β) = exp(iξᵀR), ξ = Ωd̂(β)
+    up to sign, F(η) = ⟨ψ_a, D(β)ψ_b⟩ at η = d̂(β) has ⟨ψ_a|RᵀR|ψ_b⟩ =
+    −tr ∇²F(0).  D(β)ψ_b is the description (Γ_b, α_b − β, r_b·e^{i·Im(α_b β̄)}),
+    so by the center stage of _two_stage_log_overlaps F = G·e^φ with
+
+        φ(η) = −2δᵀQη − ηᵀQη − ½i·(d_a + d_b)ᵀΩη,
+
+    Q from the same covariance stage.  The factor n − tr ∇²φ − ∇φᵀ∇φ at
+    η = 0 is then n + 2·tr Q − gᵀg with g = −2Qδ + ½i·Ω(d_a + d_b).
+    """
+    dim = a.gamma.shape[-1]
+    q, _ = _covariance_stage(a.gamma, b.gamma)
+    d_a, d_b = a.d, b.d
+    g = -2.0 * _mv(q, d_a - d_b) + 0.5j * ((d_a + d_b) @ symplectic_form(dim // 2).T)
+    return dim // 2 + 2.0 * np.trace(q, axis1=-2, axis2=-1) - _dot(g, g)
+
+
+def _mp_half_log_det(m):
+    """½·Σₖ Log pₖ over the pivots of unpivoted elimination on an mpmath matrix."""
+    m = m.copy()
+    total = 0
+    for p in range(m.rows):
+        total += mp.log(m[p, p])
+        for i in range(p + 1, m.rows):
+            factor = m[i, p] / m[p, p]
+            for j in range(p + 1, m.cols):
+                m[i, j] -= factor * m[p, j]
+    return total / 2
+
+
+def _mp_log_overlap(a: BranchStack, b: BranchStack, digits: int = 40) -> complex:
+    """log⟨ψ_a, ψ_b⟩ of one pair by the 2n×2n formula of _covariance_stage
+    in `digits`-digit arithmetic, the double inputs (Γ, α, r) taken as exact."""
+    with mp.workdps(digits):
+        ga, gb = (mp.matrix(np.reshape(g, g.shape[-2:]).tolist()) for g in (a.gamma, b.gamma))
+        dim = ga.rows
+        eye = mp.eye(dim)
+        iom = mp.matrix(symplectic_form(dim // 2).tolist()) * 1j
+        s23 = ga + gb
+        x = mp.inverse(s23)
+        gbx = (gb + iom) * x
+        s14 = eye + gb - gbx * (gb - iom)
+        k = (eye - iom) / 2 - gbx
+        q = x + eye / 4 + k.T * mp.inverse(s14) * k
+        alpha_a = [mp.mpc(complex(z)) for z in a.alpha]
+        alpha_b = [mp.mpc(complex(z)) for z in b.alpha]
+        delta = mp.matrix([mp.sqrt(2) * part for z_a, z_b in zip(alpha_a, alpha_b)
+                           for part in ((z_a - z_b).real, (z_a - z_b).imag)])
+        phase = sum((z_a * mp.conj(z_b)).imag for z_a, z_b in zip(alpha_a, alpha_b))
+        log_g = (-_mp_half_log_det(s23 / 2) - _mp_half_log_det(s14 / 2)
+                 - (delta.T * q * delta)[0] - 1j * phase
+                 - mp.log(mp.conj(mp.mpc(complex(b.r))) * mp.mpc(complex(a.r))))
+        return complex(log_g)
+
+
+def _hamilton_b(gamma: np.ndarray) -> np.ndarray:
+    """B as the complex conjugate of the top-left n×n block of X(I − Q⁻¹),
+    Q = ½(WΓWᴴ + I) in xxpp order (Hamilton et al., PRL 119, 170501, 2017)."""
+    n = gamma.shape[-1] // 2
+    order = np.r_[0:2 * n:2, 1:2 * n:2]
+    eye, zero = np.eye(n), np.zeros((n, n))
+    w = np.block([[eye, 1j * eye], [eye, -1j * eye]]) / np.sqrt(2.0)
+    q = 0.5 * (w @ gamma[np.ix_(order, order)] @ w.conj().T + np.eye(2 * n))
+    a = np.block([[zero, eye], [eye, zero]]) @ (np.eye(2 * n) - np.linalg.inv(q))
+    return a[:n, :n].conj()
+
+
+def _shared_stack(seed: int, n: int, chi: int, z_max: float) -> BranchStack:
+    """χ branches on one random covariance, with labels drawn as
+    random_pure_description draws them and random phases."""
+    rng = np.random.default_rng(seed)
+    delta = random_pure_description(n, z_max, rng)
+    alpha = np.stack([random_pure_description(n, 0.0, rng).alpha for _ in range(chi)])
+    r = abs(delta.r) * np.exp(1j * rng.uniform(-np.pi, np.pi, chi))
+    return BranchStack(delta.gamma[None], alpha, r)
+
+
+def _each_pair(stack: BranchStack) -> tuple:
+    """The stack taken at the two ends of every pair k ≠ j."""
+    chi = stack.r.size
+    k, j = np.nonzero(~np.eye(chi, dtype=bool))
+    return stack.take(k), stack.take(j)
+
+
 def _bit_equal_rows(gamma: np.ndarray) -> bool:
     bits = np.ascontiguousarray(gamma).view(np.uint64)
     return bool((bits == bits[0]).all())
 
 
 class TestTwoStageKernel:
-    """The covariance-stage / center-stage pair kernel against the per-pair
-    triple formula it replaced, the oracle, and its sharing rule."""
+    """The pair kernel's two stages, covariance pair and center, against
+    the per-pair triple formula, the oracle, and the kernel's sharing
+    rule."""
 
     def _certify(self, stack_a, stack_b=None, what=""):
         got = gram(stack_a, stack_b)
@@ -496,8 +656,8 @@ class TestTwoStageKernel:
     def test_probes_and_cross_form(self):
         chain = _coherent_chain(1, 9, 70).branches
         squeezed = stack_branches(phased_descriptions(71, 1, 6))
-        probes = _probe_stack(1, 1234, 0, 11, 2.5)
-        assert probes.gamma.shape == (1, 2, 2), "probes should hold Γ = I once"
+        probes = BranchStack(np.eye(2)[None], _probe_labels(1, 1234, 0, 11, 2.5),
+                             np.ones(11, dtype=complex))
         self._certify(probes, chain, "probes against a shared stack")
         self._certify(probes, squeezed, "probes against an unshared stack")
         self._certify(chain, squeezed, "cross form, χ_a ≠ χ_b")
@@ -530,15 +690,16 @@ class TestTwoStageKernel:
             np.exp(want)).max()
 
     def _stage_sizes(self, monkeypatch):
+        # the covariance-pair stage: M, M⁻¹ and log det M of each pair
         sizes = []
-        stage = overlaps._covariance_stage
+        stage = overlaps._seen
 
-        def counted(gamma_a, gamma_b):
-            sizes.append(int(np.prod(np.broadcast_shapes(gamma_a.shape[:-2],
-                                                         gamma_b.shape[:-2]))))
-            return stage(gamma_a, gamma_b)
+        def counted(bra_quad, ket):
+            sizes.append(int(np.prod(np.broadcast_shapes(bra_quad.shape[:-2],
+                                                         ket.quad.shape[:-2]))))
+            return stage(bra_quad, ket)
 
-        monkeypatch.setattr(overlaps, "_covariance_stage", counted)
+        monkeypatch.setattr(overlaps, "_seen", counted)
         return sizes
 
     def test_shared_stack_runs_one_covariance_stage_per_call(self, monkeypatch):
@@ -546,11 +707,10 @@ class TestTwoStageKernel:
         assert psi.chi == 64
         sizes = self._stage_sizes(monkeypatch)
         exact_norm(psi)
-        assert sizes and set(sizes) == {1}, f"stage sizes {sorted(set(sizes))}"
-        assert len(sizes) == -(-64 * 63 // 2 // GRAM_BLOCK), "one stage per kernel call"
+        assert sizes == [1], f"stage sizes {sizes}: one stage of one pair per call"
         sizes.clear()
         fast_norm(psi, 0.5, 0.25, 2.0, 7)
-        assert sizes and set(sizes) == {1}, f"fast_norm stage sizes {sorted(set(sizes))}"
+        assert sizes == [1], f"fast_norm stage sizes {sizes}"
 
     def test_unshared_stack_runs_one_covariance_stage_per_pair(self, monkeypatch):
         psi = GaussianSuperposition(np.ones(9), phased_descriptions(91, 2, 9))
@@ -562,7 +722,7 @@ class TestTwoStageKernel:
         sizes = self._stage_sizes(monkeypatch)
         psi = _coherent_chain(2, 64, 90)
         assert psi.chi == 64
-        # two squeezes and one outcome, each one covariance stage of one pair
+        # two squeezes and one outcome, each one covariance-pair stage of one pair
         assert sizes == [1, 1, 1], f"stage sizes {sizes}"
 
     def test_unshared_stack_squeezes_and_conditions_per_branch(self, monkeypatch):
@@ -639,6 +799,93 @@ class TestTwoStageKernel:
         bad = GaussianSuperposition(psi.coeffs, psi.branches._replace(r=r))
         with pytest.raises(NumericError):
             exact_norm(bad)
+
+
+class TestBargmannKernel:
+    """The n×n Bargmann pair kernel against the 2n×2n kernel it replaced, a
+    40-digit evaluation of that kernel, an independent formula for B and
+    oracle states built by gates."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("z_max", [0.5, 2.0])
+    def test_matches_two_stage_kernel(self, n, z_max):
+        for what, stack in (
+                ("unshared", stack_branches(phased_descriptions(150 + n, n, 9, z_max=z_max))),
+                ("shared", _shared_stack(160 + n, n, 9, z_max))):
+            a, b = _each_pair(stack)
+            off = ~np.eye(9, dtype=bool)
+            want = np.exp(_two_stage_log_overlaps(a, b))
+            _assert_each_rel_close(gram(stack)[off], want, 1e-13, f"{what} gram")
+            g, h = overlaps.energy_gram(stack)
+            _assert_each_rel_close(g[off], want, 1e-13, f"{what} energy_gram's G")
+            assert_rel_close(h[off] / g[off], _two_stage_energy_factors(a, b), 1e-13,
+                             f"{what} energy factors")
+
+    # At z_max ≥ 4 the two double-precision kernels drift apart by up to a
+    # few 1e-13 (z_max = 4) and 1e-11 (z_max = 6).  Against 40 digits each
+    # is off by that much in turn, the Bargmann kernel less often: the
+    # error is the pair's conditioning, not either formula.
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("z_max, bound", [(4.0, 5e-13), (6.0, 5e-11)])
+    def test_high_squeezing_against_forty_digits(self, n, z_max, bound):
+        for what, stack in (
+                ("unshared", stack_branches(phased_descriptions(150 + n, n, 9, z_max=z_max))),
+                ("shared", _shared_stack(160 + n, n, 9, z_max))):
+            k, j = np.triu_indices(9, 1)
+            a, b = stack.take(k), stack.take(j)
+            exact = np.exp([_mp_log_overlap(a.take(i), b.take(i)) for i in range(k.size)])
+            new = np.max(np.abs(gram(stack)[k, j] / exact - 1.0))
+            old = np.max(np.abs(np.exp(_two_stage_log_overlaps(a, b)) / exact - 1.0))
+            assert new <= bound, f"{what}: {new:.2e} from 40 digits"
+            assert new <= 4.0 * max(old, 1e-14), f"{what}: {new:.2e} against 2n×2n {old:.2e}"
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_b_matches_hamilton_form(self, n):
+        for seed in range(20):
+            delta = random_pure_description(n, 2.5, 170 + 10 * n + seed)
+            quad = overlaps._bargmann(delta).quad
+            assert np.abs(quad - _hamilton_b(delta.gamma)).max() < 1e-13, f"seed {seed}"
+            assert np.abs(quad - quad.T).max() < 1e-15, f"seed {seed}: B not symmetric"
+            assert np.linalg.norm(quad, 2) < 1.0, f"seed {seed}: ‖B‖₂ ≥ 1"
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_triples_match_gate_built_oracle_states(self, n):
+        # ⟨β, ψ⟩ = e^{−‖β‖²/2}·c·exp(½β̄ᵀBβ̄ + bᵀβ̄), phase included, with ψ
+        # built from the vacuum by the oracle's own gates
+        rng = np.random.default_rng(180 + n)
+        gates = [Squeeze(0.5, 1), Displacement(0.4 * np.exp(1j * rng.uniform(0, 6, n))),
+                 PhaseShift(0.9, n), Squeeze(-0.3, n)]
+        if n == 2:
+            gates.insert(2, Beamsplitter(0.7, 1, 2))
+        delta, state = vacuum_description(n), fock_vacuum([40] * n)
+        for gate in gates:
+            delta, state = apply_unitary(delta, gate), fock_apply_gate(state, gate)
+            form = overlaps._bargmann(delta)
+            for beta in 0.8 * (rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))):
+                v = beta.conj()
+                got = np.exp(-0.5 * np.vdot(beta, beta).real + form.log_c
+                             + 0.5 * v @ form.quad @ v + form.lin @ v)
+                want = complex(fock_project(state, beta)[0])
+                assert abs(got - want) < 1e-9, f"after {gate}: {got} vs oracle {want}"
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_pairs_match_gate_built_oracle_states(self, n):
+        rng = np.random.default_rng(190 + n)
+        deltas, states = [], []
+        for _ in range(4):
+            delta, state = vacuum_description(n), fock_vacuum([40] * n)
+            gates = [Squeeze(float(rng.uniform(-0.6, 0.6)), 1),
+                     Displacement(0.5 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))),
+                     Squeeze(float(rng.uniform(-0.6, 0.6)), n)]
+            if n == 2:
+                gates.insert(1, Beamsplitter(float(rng.uniform(0.1, 1.4)), 1, 2))
+            for gate in gates:
+                delta, state = apply_unitary(delta, gate), fock_apply_gate(state, gate)
+            deltas.append(delta)
+            states.append(state)
+        g = gram(stack_branches(deltas))
+        oracle = np.array([[fock_overlap(a, b) for b in states] for a in states])
+        assert np.abs(g - oracle).max() < 1e-9, f"n={n}: gram ≠ oracle"
 
 
 class TestPhaseRoutes:

@@ -287,6 +287,36 @@ class TestFastNorm:
         with pytest.raises(ValidationError):
             fast_norm(psi, 0.2, 0.25, 4.0, 1, workers=workers)
 
+    def test_working_memory_bounded_at_large_chi(self, monkeypatch):
+        # χ = 1024 > GRAM_BLOCK and L = 637 > GRAM_BLOCK: no kernel call and
+        # no blocked kernel output holds more than max(GRAM_BLOCK, χ) pairs
+        chi = 1024
+        x = np.random.default_rng(404).standard_normal((chi, 2))
+        psi = GaussianSuperposition(
+            np.full(chi, chi ** -0.5, dtype=complex),
+            tuple(coherent_description(np.array([0.5 * complex(*row)])) for row in x))
+        samples = fast_norm_parameters(2.0, 0.1, 0.25).samples
+        assert samples > GRAM_BLOCK
+        kernel_sizes, output_sizes = [], []
+        kernel, blocked = overlaps._pair_overlaps, overlaps._blocked
+
+        def counted_kernel(a, b):
+            values = kernel(a, b)
+            kernel_sizes.append(np.size(values))
+            return values
+
+        def counted_blocked(*args, **kwargs):
+            values = blocked(*args, **kwargs)
+            output_sizes.append(np.size(values))
+            return values
+
+        monkeypatch.setattr(overlaps, "_pair_overlaps", counted_kernel)
+        monkeypatch.setattr(overlaps, "_blocked", counted_blocked)
+        fast_norm(psi, 0.1, 0.25, 2.0, 7)
+        assert sum(kernel_sizes) == samples * chi
+        assert max(kernel_sizes) <= GRAM_BLOCK
+        assert max(output_sizes) <= max(GRAM_BLOCK, chi)
+
     def test_block_probe_labels_match_per_sample_formula(self):
         # Block b draws all its normals, then all its uniforms, from
         # Philox(key=seed, counter=[0, 0, 0, b]); probe i is normal row i
@@ -303,16 +333,14 @@ class TestFastNorm:
                 scale = radius * u_i ** (1.0 / (2 * n)) / math.sqrt(sum(v * v for v in row))
                 reference.append([complex(row[2 * k] * scale, row[2 * k + 1] * scale)
                                   for k in range(n)])
-            probes = superposition._probe_stack(n, seed, block, size, radius)
-            assert probes.alpha.shape == (size, n)
-            np.testing.assert_allclose(probes.alpha, reference, rtol=1e-15, atol=0.0)
-            assert np.array_equal(probes.d, hat_d(probes.alpha))
-            assert np.array_equal(probes.gamma, np.eye(2 * n)[None])
+            labels = superposition._probe_labels(n, seed, block, size, radius)
+            assert labels.shape == (size, n)
+            np.testing.assert_allclose(labels, reference, rtol=1e-15, atol=0.0)
 
     def test_stacked_probes_match_per_branch_loop(self):
         # n = 2, χ = 17 squeezed branches with complex reference overlaps and
         # L = 1274, so the samples span two full stream blocks and a partial
-        # one of 250, and each block ends in a gram call shorter than the
+        # one of 250, and each block ends in a row slice shorter than the
         # 30 rows of the others.  The reference is the per-branch loop
         # Σ_j c_j·overlap(α_ℓ, ψ_j) over the same Philox draws.
         rng = np.random.default_rng(2718)
@@ -477,13 +505,13 @@ class TestMeasureprob:
 
     def test_unmeasured_modes_are_normed_alone(self, monkeypatch):
         # n = 2, k = 1: the χ'(χ'-1)/2 pairs of the kept branches, each on the
-        # 2-dimensional covariance of the unmeasured mode
+        # 1×1 Bargmann B of the unmeasured mode
         shapes = []
         kernel = overlaps._pair_overlaps
 
         def counted(a, b):
             values = kernel(a, b)
-            shapes.append((np.size(values), a.gamma.shape[-1], b.gamma.shape[-1]))
+            shapes.append((np.size(values), a.quad.shape[-1], b.quad.shape[-1]))
             return values
 
         psi = random_superposition(730, n=2, chi=9, z_max=0.6, alpha_max=0.8)
@@ -492,7 +520,7 @@ class TestMeasureprob:
         monkeypatch.setattr(overlaps, "_pair_overlaps", counted)
         measureprob_exact(psi, beta)
         assert sum(size for size, _, _ in shapes) == kept * (kept - 1) // 2
-        assert {shape[1:] for shape in shapes} == {(2, 2)}
+        assert {shape[1:] for shape in shapes} == {(1, 1)}
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_row_rejects_wrong_reference_magnitude(self, n):
