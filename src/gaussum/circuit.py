@@ -12,8 +12,12 @@ superposition.measureprob_exact): one row of χ overlaps against |β⟩ when
 every mode is measured, else one conditioning call and the Gram matrix of
 the kept branches on the 2(n−k) unmeasured dimensions.  Its check that the
 input is normalized is one χ×χ Gram norm, so a run stays O(χ²) overall.
-A "terms" document is parsed into one BranchStack and validated by one
-stacked call.
+A "terms" document is read as one array per field (coeff, gamma, alpha,
+r), with Γ = I and α = 0 where a term leaves them out; equal covariances
+are kept as one before a left-out r is derived, and the stack is
+validated by one stacked call.  Numbers are walked one by one only when
+an array check fails, or when the document holds a true, false or null
+literal, to name the offending path.
 simulate_approx conditions the stack and replaces the Gram norm with the
 randomized estimator, deriving its probe parameters from an energy bound
 that is propagated through the gate list.
@@ -44,6 +48,7 @@ from .states import appendix_d_state, cat_state, gkp_comb
 from .superposition import (
     GaussianSuperposition,
     _require_unit_norm,
+    _shared,
     circuit_energy_bound,
     exact_norm,
     fast_norm_parameters,
@@ -82,9 +87,10 @@ class CircuitSpec:
         object.__setattr__(self, "gates", tuple(self.gates))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimulationResult:
-    """Outcome density plus the parameters that produced it."""
+    """Outcome density plus the parameters that produced it; slotted, so a
+    retained result holds no per-instance dict."""
 
     p: float
     method: str
@@ -115,11 +121,13 @@ class SimulationResult:
 # ---------------------------------------------------------------------------
 
 def _no_duplicate_keys(pairs):
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ValidationError(f"duplicate key {key!r} in the same object")
-        out[key] = value
+    out = dict(pairs)
+    if len(out) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValidationError(f"duplicate key {key!r} in the same object")
+            seen.add(key)
     return out
 
 
@@ -154,19 +162,23 @@ def _as_int(value, path: str) -> int:
     return value
 
 
-def _as_complex(value, path: str) -> complex:
+def _as_pair(value, path: str) -> list:
     if not (isinstance(value, list) and len(value) == 2):
         raise ValidationError(f"{path}: expected a [re, im] pair, got {value!r}")
-    return complex(_as_number(value[0], f"{path}[0]"), _as_number(value[1], f"{path}[1]"))
+    return [_as_number(value[0], f"{path}[0]"), _as_number(value[1], f"{path}[1]")]
+
+
+def _as_pairs(value, length: int, path: str) -> list:
+    if not isinstance(value, list) or len(value) != length:
+        raise ValidationError(f"{path}: expected {length} [re, im] pairs")
+    return [_as_pair(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
 def _as_complex_vector(value, length: int, path: str) -> np.ndarray:
-    if not isinstance(value, list) or len(value) != length:
-        raise ValidationError(f"{path}: expected {length} [re, im] pairs")
-    return np.array([_as_complex(v, f"{path}[{i}]") for i, v in enumerate(value)])
+    return np.array([complex(re, im) for re, im in _as_pairs(value, length, path)])
 
 
-def _as_real_matrix(value, size: int, path: str) -> np.ndarray:
+def _as_real_matrix(value, size: int, path: str) -> list:
     if not isinstance(value, list) or len(value) != size:
         raise ValidationError(f"{path}: expected a {size}×{size} row list")
     rows = []
@@ -174,7 +186,13 @@ def _as_real_matrix(value, size: int, path: str) -> np.ndarray:
         if not isinstance(row, list) or len(row) != size:
             raise ValidationError(f"{path}[{i}]: expected {size} numbers")
         rows.append([_as_number(v, f"{path}[{i}][{j}]") for j, v in enumerate(row)])
-    return np.array(rows)
+    return rows
+
+
+def _complex(pairs: np.ndarray) -> np.ndarray:
+    """Complex view of a float array of [re, im] pairs (..., 2); unlike
+    re + 1j·im it keeps every bit, the sign of a zero included."""
+    return pairs.view(complex)[..., 0]
 
 
 def _mode_in_range(mode: int, modes: int, path: str) -> int:
@@ -183,58 +201,120 @@ def _mode_in_range(mode: int, modes: int, path: str) -> int:
     return mode
 
 
-def _parse_term(obj: dict, modes: int, path: str):
-    """(coeff, Γ, α, r or None) of one term; r is None when left out."""
-    _check_keys(obj, {"coeff", "gamma", "alpha", "r"}, path)
-    coeff = _as_complex(_get(obj, "coeff", path), f"{path}.coeff")
-    gamma = (_as_real_matrix(obj["gamma"], 2 * modes, f"{path}.gamma")
-             if "gamma" in obj else np.eye(2 * modes))
-    alpha = (_as_complex_vector(obj["alpha"], modes, f"{path}.alpha")
-             if "alpha" in obj else np.zeros(modes, dtype=complex))
-    r = _as_complex(obj["r"], f"{path}.r") if "r" in obj else None
-    return coeff, gamma, alpha, r
+_TERM_KEYS = frozenset({"coeff", "gamma", "alpha", "r"})
 
 
-def _term_stack(parsed: list, path: str) -> BranchStack:
-    """The parsed terms as one BranchStack, checked by one stacked
-    validate_description call; a left-out r takes the positive value
-    fixed by Γ.  An invalid term, a covariance whose I + Γ is not positive
-    definite included, is named by its index."""
-    gamma = np.stack([g for _, g, _, _ in parsed])
-    alpha = np.stack([a for _, _, a, _ in parsed])
-    missing = np.array([r is None for _, _, _, r in parsed])
-    r = np.array([0j if r is None else r for _, _, _, r in parsed])
-    if missing.any():
+def _parse_term(obj, modes: int, path: str) -> dict:
+    """One term with every number checked and made a float, in the same
+    layout; the first malformed entry raises a ValidationError naming its
+    path."""
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}: expected an object")
+    _check_keys(obj, _TERM_KEYS, path)
+    term = {"coeff": _as_pair(_get(obj, "coeff", path), f"{path}.coeff")}
+    if "gamma" in obj:
+        term["gamma"] = _as_real_matrix(obj["gamma"], 2 * modes, f"{path}.gamma")
+    if "alpha" in obj:
+        term["alpha"] = _as_pairs(obj["alpha"], modes, f"{path}.alpha")
+    if "r" in obj:
+        term["r"] = _as_pair(obj["r"], f"{path}.r")
+    return term
+
+
+def _term_field(terms: list, key: str, shape: tuple, default):
+    """(values, given): field key of every term as one float array of shape
+    (χ, *shape), holding default where a term leaves it out, and the mask
+    of the terms that give it.  None unless every given value is finite
+    real numbers of that shape; a value numpy cannot hold as such (a
+    string, a ragged row, an integer beyond int64) fails the check too."""
+    given = np.array([key in t for t in terms])
+    values = [t[key] for t in terms if key in t]
+    if values:
+        try:
+            array = np.array(values)
+        except (ValueError, TypeError, OverflowError):
+            return None
+        if (array.dtype.kind not in "fi" or array.shape != (len(values),) + shape
+                or not np.isfinite(array).all()):
+            return None
+        if len(values) == len(terms):
+            return array.astype(float, copy=False), given
+    field = np.empty((len(terms),) + shape)
+    field[...] = default
+    if values:
+        field[given] = array
+    return field, given
+
+
+def _term_arrays(terms: list, modes: int):
+    """(coeff, Γ, α, r, r given) of a terms list as float arrays, Γ = I
+    and α = 0 where a term leaves them out, or None when a check fails:
+    a term that is not an object of known keys holding coeff, or a field
+    that is not finite real numbers of its shape.  A boolean would pass
+    as a number, so a document holding a true, false or null literal never
+    comes here."""
+    if not all(type(t) is dict and "coeff" in t and t.keys() <= _TERM_KEYS
+               for t in terms):
+        return None
+    dim = 2 * modes
+    fields = (_term_field(terms, "coeff", (2,), 0.0),
+              _term_field(terms, "gamma", (dim, dim), np.eye(dim)),
+              _term_field(terms, "alpha", (modes, 2), 0.0),
+              _term_field(terms, "r", (2,), 0.0))
+    if None in fields:
+        return None
+    (coeff, _), (gamma, _), (alpha, _), (r, r_given) = fields
+    return coeff, gamma, alpha, r, r_given
+
+
+def _parse_terms(terms, modes: int, path: str, walk: bool) -> GaussianSuperposition:
+    """A terms list as a superposition whose branches are one BranchStack,
+    checked by one stacked validate_description call.
+
+    Each field is read as one array over the terms (see _term_arrays).
+    The per-number walker (_parse_term) runs only when walk is set or an
+    array check fails: it names the first malformed entry, or returns the
+    values the arrays could not hold as floats, which then take the same
+    array path.  Equal covariances are cut to one before a left-out r
+    takes the positive value fixed by Γ, so each distinct covariance is
+    derived and validated once.  An invalid term, a covariance whose
+    I + Γ is not positive definite included, is named by its index.
+    """
+    if not isinstance(terms, list) or not terms:
+        raise ValidationError(f"{path}.terms: expected a nonempty list")
+    arrays = None if walk else _term_arrays(terms, modes)
+    if arrays is None:
+        arrays = _term_arrays([_parse_term(t, modes, f"{path}.terms[{i}]")
+                               for i, t in enumerate(terms)], modes)
+    coeff, gamma, alpha, r, r_given = arrays
+    gamma = _shared(gamma)
+    r = _complex(r)
+    if not r_given.all():
         # NaN where I + Γ is not positive definite, which validation rejects
-        r[missing] = np.exp(_log_reference_magnitude(gamma[missing]))
-    stack = BranchStack(gamma, alpha, r)
+        r[~r_given] = np.exp(_log_reference_magnitude(
+            gamma if len(gamma) == 1 else gamma[~r_given]))
+    stack = BranchStack(gamma, _complex(alpha), r)
     report = validate_description(stack)
     bad = np.flatnonzero(~report.ok)
     if bad.size:
         j = int(bad[0])
         raise ValidationError(
             f"{path}.terms[{j}]: invalid description ({report.branch(j)})")
-    return stack
+    return GaussianSuperposition(_complex(coeff), stack)
 
 
-def _parse_state(obj, modes: int, path: str) -> GaussianSuperposition:
+def _parse_state(obj, modes: int, path: str, walk: bool) -> GaussianSuperposition:
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: expected an object")
     kind = _get(obj, "type", path)
     if kind == "terms":
         _check_keys(obj, {"type", "terms"}, path)
-        terms = _get(obj, "terms", path)
-        if not isinstance(terms, list) or not terms:
-            raise ValidationError(f"{path}.terms: expected a nonempty list")
-        parsed = [_parse_term(t, modes, f"{path}.terms[{i}]")
-                  for i, t in enumerate(terms)]
-        return GaussianSuperposition(np.array([c for c, *_ in parsed]),
-                                     _term_stack(parsed, path))
+        return _parse_terms(_get(obj, "terms", path), modes, path, walk)
     if kind == "cat":
         _check_keys(obj, {"type", "alpha", "parity"}, path)
         if modes != 1:
             raise ValidationError(f"{path}: cat states need modes=1, got {modes}")
-        alpha = _as_complex(_get(obj, "alpha", path), f"{path}.alpha")
+        alpha = complex(*_as_pair(_get(obj, "alpha", path), f"{path}.alpha"))
         parity = obj.get("parity", "even")
         if isinstance(parity, bool) or not isinstance(parity, (str, int)):
             raise ValidationError(
@@ -327,7 +407,10 @@ def parse_circuit(text: str) -> tuple[GaussianSuperposition, CircuitSpec]:
     modes = _as_int(_get(obj, "modes", "top level"), "modes")
     if modes < 1:
         raise ValidationError(f"modes: need at least one mode, got {modes}")
-    psi = _parse_state(_get(obj, "state", "top level"), modes, "state")
+    # np.array reads true and false as numbers and null as an object, so a
+    # document holding any of them is walked number by number
+    walk = "true" in text or "false" in text or "null" in text
+    psi = _parse_state(_get(obj, "state", "top level"), modes, "state", walk)
     gates_obj = obj.get("gates", [])
     if not isinstance(gates_obj, list):
         raise ValidationError("gates: expected a list")

@@ -327,9 +327,11 @@ def validate_description(delta, tol: float = DEFAULT_TOL) -> ValidityReport:
         ValidityReport with booleans (validity: Γ + iΩ ⪰ -tol; purity:
         ‖ΓΩΓ - Ω‖_max ≤ tol; reference overlap: | |r|² - 2ⁿ/√det(I+Γ) | ≤ tol)
         and the measured defects.  For a stack every field is an array
-        over its leading axes, from one stacked evaluation.  A covariance
-        whose I+Γ is not positive definite is reported invalid, with a NaN
-        r_defect.
+        over its leading axes, from one stacked evaluation; a covariance
+        shared by the whole stack (a covariance axis of length 1) is
+        checked once and its results are broadcast to every branch.  A
+        covariance whose I+Γ is not positive definite is reported invalid,
+        with a NaN r_defect.
     """
     gamma = np.asarray(delta.gamma, dtype=float)
     n = np.shape(delta.alpha)[-1]
@@ -338,9 +340,10 @@ def validate_description(delta, tol: float = DEFAULT_TOL) -> ValidityReport:
     omega = symplectic_form(n)
     herm = gamma + 1j * omega
     herm = 0.5 * (herm + np.conj(np.swapaxes(herm, -1, -2)))
-    min_eig = np.linalg.eigvalsh(herm)[..., 0]
-    purity_defect = np.max(np.abs(gamma @ omega @ gamma - omega), axis=(-2, -1))
     r_defect = np.abs(np.abs(delta.r) ** 2 - np.exp(_log_reference_magnitude(gamma)) ** 2)
+    min_eig = np.broadcast_to(np.linalg.eigvalsh(herm)[..., 0], r_defect.shape)
+    purity_defect = np.broadcast_to(
+        np.max(np.abs(gamma @ omega @ gamma - omega), axis=(-2, -1)), r_defect.shape)
     report = ValidityReport(
         valid=min_eig >= -tol,
         pure=purity_defect <= tol,

@@ -76,14 +76,14 @@ GRAM_FIDELITY_TOL = 1e-8
 UNIT_NORM_TOL = 1e-6
 
 
-def _shared(stack: BranchStack) -> BranchStack:
-    """stack holding one covariance when they are all equal: an O(χ·4n²)
-    test, run once per superposition built, since gates and conditioning
-    keep equal covariances bit-equal."""
-    gamma = stack.gamma
+def _shared(gamma: np.ndarray) -> np.ndarray:
+    """The covariance axis gamma, cut to one covariance when they are all
+    equal: an O(χ·4n²) test, run once per superposition built (and by the
+    parser before it validates), since gates and conditioning keep equal
+    covariances bit-equal."""
     if len(gamma) > 1 and (gamma == gamma[0]).all():
-        return stack._replace(gamma=gamma[:1])
-    return stack
+        return gamma[:1]
+    return gamma
 
 
 @dataclass(frozen=True, eq=False)
@@ -120,7 +120,7 @@ class GaussianSuperposition:
         if not np.all(np.isfinite(alpha)):
             raise ValidationError("displacement label has non-finite entries")
         # read-only views: the caller's own arrays stay writeable
-        branches = _shared(BranchStack(*(array.view() for array in branches)))
+        branches = BranchStack(_shared(gamma).view(), alpha.view(), r.view())
         coeffs.flags.writeable = False
         for array in branches:
             array.flags.writeable = False

@@ -25,6 +25,8 @@ from gaussum.core import (
     PhaseShift,
     Squeeze,
     ValidationError,
+    random_pure_description,
+    reference_overlap_magnitude,
 )
 from gaussum.fock import fock_apply_gate, fock_from_superposition, fock_overlap, fock_project
 from gaussum.states import appendix_d_state
@@ -181,6 +183,124 @@ class TestParsing:
         assert "valid=False" in str(info.value)
 
 
+def _bits(array) -> tuple:
+    array = np.ascontiguousarray(array)
+    return array.shape, array.dtype, array.tobytes()
+
+
+def _random_terms(rng, n: int, chi: int, shared: bool) -> list:
+    """χ random terms on n modes, some entries written as integers or as
+    -0.0: alpha and r given or left out per term; gamma one covariance
+    given by every term (shared), or one per term, given or left out."""
+    def number(x: float):
+        roll = rng.random()
+        if roll < 0.15:
+            return int(round(3 * x))
+        if roll < 0.25:
+            return -0.0
+        return float(x)
+
+    common = random_pure_description(n, 0.8, rng).gamma
+    terms = []
+    for _ in range(chi):
+        term = {"coeff": [number(rng.normal()), number(rng.normal())]}
+        gamma = np.eye(2 * n)
+        if shared or rng.random() < 0.6:
+            gamma = common if shared else random_pure_description(n, 0.8, rng).gamma
+            term["gamma"] = gamma.tolist()
+        if rng.random() < 0.7:
+            term["alpha"] = [[number(rng.normal()), number(rng.normal())] for _ in range(n)]
+        if rng.random() < 0.4:
+            r = reference_overlap_magnitude(gamma) * np.exp(1j * rng.uniform(-np.pi, np.pi))
+            term["r"] = [float(r.real), float(r.imag)]
+        terms.append(term)
+    return terms
+
+
+class TestTermArrays:
+    """A terms document is read as one array per field; the per-number
+    walker runs only when an array check fails, to name the path."""
+
+    @staticmethod
+    def _doc(terms: list, modes: int = 1) -> str:
+        return json.dumps({"modes": modes, "state": {"type": "terms", "terms": terms},
+                           "gates": []})
+
+    def test_arrays_match_the_walker_bit_for_bit(self, monkeypatch):
+        rng = np.random.default_rng(20261020)
+        documents = [(n, self._doc(_random_terms(rng, n, int(rng.integers(1, 41)), shared),
+                                   n))
+                     for n in (1, 2, 3) for shared in (True, False) for _ in range(5)]
+        documents.append((1, self._doc([{"coeff": [-0.0, 0]}, {"coeff": [0, -0.0]}])))
+        arrays = [parse_circuit(doc)[0] for _, doc in documents]
+        assert {len(psi.branches.gamma) == 1 for psi in arrays if psi.chi > 1} == {True, False}
+
+        calls = []
+        check = circuit._term_arrays
+
+        def first_fails(terms, modes):
+            calls.append(modes)
+            return None if len(calls) % 2 else check(terms, modes)
+
+        monkeypatch.setattr(circuit, "_term_arrays", first_fails)
+        for (n, doc), fast in zip(documents, arrays):
+            calls.clear()
+            walked = parse_circuit(doc)[0]
+            assert calls == [n, n], "the walker did not run"
+            assert _bits(fast.coeffs) == _bits(walked.coeffs)
+            for name, a, b in zip(fast.branches._fields, fast.branches, walked.branches):
+                assert _bits(a) == _bits(b), f"{name} differs on {doc[:80]}"
+
+    def test_integer_beyond_int64_is_read_as_its_double(self):
+        psi, _ = parse_circuit(self._doc([{"coeff": [2 ** 70, 0]}]))
+        assert psi.coeffs[0] == float(2 ** 70)
+
+    def test_number_walker_idle_on_well_formed_terms(self, monkeypatch):
+        def forbidden(value, path):
+            raise AssertionError(f"_as_number called at {path}")
+
+        monkeypatch.setattr(circuit, "_as_number", forbidden)
+        terms = _random_terms(np.random.default_rng(5), 2, 12, shared=False)
+        psi, _ = parse_circuit(self._doc(terms, 2))
+        assert psi.chi == 12
+
+    VALID = {"coeff": [1.0, 0.0]}
+    CATALOG = [
+        ([{"coeff": [1, True]}], "state.terms[0].coeff[1]: expected a number, got True"),
+        ([{"coeff": [True, 1.5]}], "state.terms[0].coeff[0]: expected a number, got True"),
+        ([VALID, {"coeff": ["0.5", 0.0]}],
+         "state.terms[1].coeff[0]: expected a number, got '0.5'"),
+        ([{"coeff": [1.0, 0.0], "gamma": [[1.0, 0.0], [0.0]]}],
+         "state.terms[0].gamma[1]: expected 2 numbers"),
+        ([{"coeff": [1.0, 0.0], "alpha": [[0.1, 10 ** 400]]}],
+         "state.terms[0].alpha[0][1]: number outside the double range"),
+        ([{"coeff": [1.0, 0.0], "r": None}],
+         "state.terms[0].r: expected a [re, im] pair, got None"),
+        ([{"coeff": [1.0, 0.0], "beta": 1}], "state.terms[0]: unknown keys ['beta']"),
+        ([VALID, {"alpha": [[0.1, 0.0]]}], "state.terms[1]: missing required key 'coeff'"),
+        ([VALID, [1.0, 0.0]], "state.terms[1]: expected an object"),
+        ([VALID, 5], "state.terms[1]: expected an object"),
+    ]
+
+    @pytest.mark.parametrize("terms, message", CATALOG)
+    def test_error_catalog(self, terms, message):
+        with pytest.raises(ValidationError) as info:
+            parse_circuit(self._doc(terms))
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, message", [
+        ('{"modes": 1, "state": {"type": "terms", "terms": [{"coeff": [1e999, 0]}]}}',
+         "state.terms[0].coeff[0]: non-finite number inf"),
+        ('{"modes": 1, "state": {"type": "terms", "terms": '
+         '[{"coeff": [1, 0], "coeff": [1, 0]}]}}',
+         "duplicate key 'coeff' in the same object"),
+    ])
+    def test_error_catalog_raw_text(self, text, message):
+        with pytest.raises(ValidationError) as info:
+            parse_circuit(text)
+        assert str(info.value) == message
+
+
 class TestEmission:
     """Canonical serialization round-trips through the parser."""
 
@@ -322,6 +442,14 @@ class TestSimulateApprox:
         assert result.radius > 0 and result.samples >= 1
         again = simulate_approx(psi, spec, epsilon=0.3, p_fail=0.25, seed=5)
         assert result.to_json() == again.to_json()
+
+    def test_result_is_slotted(self):
+        result = simulate_approx(*parse_circuit(VACUUM_DOC), epsilon=0.5, p_fail=0.25,
+                                 seed=3, energy_override=2.0)
+        assert not hasattr(result, "__dict__")
+        assert json.loads(result.to_json()) == result.as_dict()
+        assert list(result.as_dict()) == ["p", "method", "epsilon", "p_fail",
+                                          "energy_bound", "R", "L", "seed"]
 
     def test_worker_count_invisible(self):
         psi, spec = parse_circuit(CAT_BS_DOC)

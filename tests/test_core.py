@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from gaussum.core import (
     validate_description,
 )
 from gaussum.overlaps import BranchStack
+from gaussum.superposition import GaussianSuperposition
 
 SQRT2 = np.sqrt(2.0)
 
@@ -162,6 +164,17 @@ class TestDescriptions:
         bad = GaussianDescription(0.1 * np.eye(2), np.zeros(1, dtype=complex), 1.0)
         report = validate_description(bad)
         assert not report.ok, "Γ = 0.1·I violates the uncertainty bound"
+
+    def test_report_over_shared_covariance_names_every_branch(self):
+        psi = GaussianSuperposition(np.ones(3), [coherent_description([a])
+                                                 for a in (0.5, -0.5j, 1.0)])
+        assert psi.branches.gamma.shape == (1, 2, 2)
+        report = validate_description(psi.branches)
+        for field in fields(report):
+            assert np.shape(getattr(report, field.name)) == (3,), field.name
+        assert report.branch(2) == validate_description(psi.descriptions[2])
+        bad = psi.branches._replace(r=np.array([1.0, 1.0, 1.5]))
+        assert validate_description(bad).ok.tolist() == [True, True, False]
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValidationError):
