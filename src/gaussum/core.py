@@ -38,7 +38,7 @@ class ValidationError(ValueError):
 
 
 class NumericError(ArithmeticError):
-    """A numerically ill-posed step (zero anchor, lost branch, failed check)."""
+    """A numerically ill-posed step (zero overlap, lost branch, failed check)."""
 
 
 class BranchPathError(NumericError):
@@ -47,7 +47,7 @@ class BranchPathError(NumericError):
 
 
 class PhaseRecoveryError(NumericError):
-    """An anchor overlap is zero, so no phase can be divided out of it."""
+    """A reference or anchor overlap is zero, so no phase can be recovered."""
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +113,7 @@ class Displacement:
 
     def __post_init__(self):
         a = np.asarray(self.alpha, dtype=complex).reshape(-1)
-        if not np.all(np.isfinite(a.real) & np.isfinite(a.imag)):
+        if not np.isfinite(a).all():
             raise ValidationError("displacement gate label has non-finite entries")
         a.flags.writeable = False
         object.__setattr__(self, "alpha", a)
@@ -171,10 +171,9 @@ def _mode_index(j: int, n: int) -> int:
 def gate_symplectic(g: Gate, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Return the symplectic matrix S and shift vector s of a gate.
 
-    S acts on covariance matrices as Γ → SΓSᵀ.  For the non-displacement
-    gates the center updates as d → Sd.  For a displacement the returned
-    shift is s = d̂(alpha), the generator-convention vector; the center of a
-    state actually moves by -d̂(alpha) (see evolution.apply_displacement).
+    Every gate moves a state's covariance as Γ → SΓSᵀ and its center as
+    d → Sd + s.  Only a displacement has a shift: s = -d̂(alpha), the
+    label moving from α to α - alpha.
 
     Args:
         g: gate specification with 1-based mode indices.
@@ -189,7 +188,7 @@ def gate_symplectic(g: Gate, n: int) -> tuple[np.ndarray, np.ndarray]:
         if g.alpha.size != n:
             raise ValidationError(
                 f"displacement label has {g.alpha.size} modes, expected {n}")
-        s = hat_d(g.alpha)
+        s = -hat_d(g.alpha)
     elif isinstance(g, PhaseShift):
         jj = _mode_index(g.mode, n)
         c, sn = np.cos(g.phi), np.sin(g.phi)

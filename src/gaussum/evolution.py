@@ -1,20 +1,34 @@
 """Gate action on Gaussian descriptions, including the reference phase.
 
-Covariances transform as Γ → SΓSᵀ under the gate's symplectic matrix and
-coherent labels follow the gate's closed-form label map.  The reference
-overlap r = ⟨α, ψ⟩ needs no recomputation for displacements (a Weyl phase)
-or passive gates (they map coherent states to coherent states with no
-extra phase), but squeezing changes it nontrivially.  There
-r' = ⟨α', Sψ⟩ = ⟨S†α', ψ⟩, and S†|α'⟩ is the displaced squeezed vacuum
-(S⁻¹S⁻ᵀ, α, 1/√cosh z) on ψ's own pre-gate label α, so r' is one pair
-overlap of the overlaps kernel between the Bargmann forms of that anchor
-and of ψ.
+One update serves every gate.  With (S, s) = core.gate_symplectic(gate),
+Γ → SΓSᵀ and d → Sd + s, so α′ = d̂⁻¹(Sd + s), and r = ⟨α, ψ⟩ is multiplied
+by one closed-form factor:
 
-Every gate acts on a whole BranchStack per call: the branches of a
-superposition are updated together, with the gate's S and label map
-broadcast over the stack's leading axes; a stack holding one covariance
-keeps one.  A GaussianDescription is the stack with no leading axis and
-runs the same code; it comes back as a GaussianDescription.
+- displacement D(β): the Weyl phase e^{i·Im(αᵀβ̄)};
+- passive gates: 1 (they map coherent states to coherent states);
+- squeeze S = S_j(z): (cosh z − sinh z·B_jj)^{−½}, B the Bargmann B of ψ's
+  pre-gate covariance (see overlaps).
+
+The squeeze factor.  r′ = ⟨α′, Sψ⟩ = ⟨S†α′, ψ⟩, and S†|α′⟩ = D(α)S†|0⟩ on
+ψ's own pre-gate label α.  Shifted by D(α)†, both are centered (b = 0):
+S†|0⟩ has the triple (tanh z·e_j e_jᵀ, 0, 1/√cosh z) and ψ has (B, 0, r).
+At b = 0 the pair kernel of overlaps is c̄_a·c_b·det(I − B̄_a·B_b)^{−½}, and
+the anchor's rank-one B makes det M = 1 − tanh z·B_jj, so
+
+    r′ = r·(cosh z)^{−½}·(1 − tanh z·B_jj)^{−½} = r·(cosh z − sinh z·B_jj)^{−½}.
+
+No overlap is evaluated.  With G = Γ_xx + I − iΓ_xp and B = 2G⁻¹Γ_xx − I,
+cosh z − sinh z·B = G⁻¹[e^{z}(I − iΓ_xp) + e^{−z}Γ_xx]: one solve against
+one column per covariance, which keeps the digits cosh z − sinh z·B_jj
+loses to cancellation when ψ is already squeezed along the gate's axis.
+
+Branch of the root.  A valid B has ‖B‖₂ < 1, so for t ∈ [0, 1] Re(cosh tz −
+sinh tz·B_jj) > cosh tz − |sinh tz| = e^{−t|z|} > 0: from z = 0, where the
+factor is 1, the argument never meets the cut, and the principal root is the
+continuous branch.  Re ≤ 0 means ψ's covariance is not valid (BranchPathError).
+
+Every gate acts on a whole BranchStack per call; a stack holding one
+covariance keeps one, and a GaussianDescription comes back as one.
 """
 
 from __future__ import annotations
@@ -23,14 +37,16 @@ import numpy as np
 
 from .core import (
     Beamsplitter,
+    BranchPathError,
     Displacement,
     Gate,
     PhaseShift,
     Squeeze,
     ValidationError,
     gate_symplectic,
+    hat_d_inv,
 )
-from .overlaps import BranchStack, _bargmann, _log_overlaps, _same_kind
+from .overlaps import BranchStack, _checked_r, _same_kind, _solve_position
 
 
 def _congruence(s: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -39,66 +55,51 @@ def _congruence(s: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return 0.5 * (g + np.swapaxes(g, -1, -2))
 
 
-def apply_displacement(delta, beta: np.ndarray):
-    """D(β): Γ is unchanged, α → α - β, and r picks up the Weyl phase.
+def _update(delta, gate: Gate, factor=None):
+    """Γ → SΓSᵀ and d → Sd + s with (S, s) = gate_symplectic(gate), and
+    r → r·factor(), called once gate_symplectic has checked the gate."""
+    s, shift = gate_symplectic(gate, delta.alpha.shape[-1])
+    r = delta.r if factor is None else delta.r * factor()
+    alpha = hat_d_inv(delta.d @ s.T + shift)
+    return _same_kind(delta, BranchStack(_congruence(s, delta.gamma), alpha, r))
 
-    r' = ⟨α - β, D(β)ψ⟩ = e^{i·Im(αᵀβ̄)} · r.  delta is a description or a
-    BranchStack; the result is of the same kind.
-    """
-    n = delta.alpha.shape[-1]
-    beta = np.asarray(beta, dtype=complex).reshape(-1)
-    if beta.size != n:
-        raise ValidationError(
-            f"displacement label has {beta.size} modes, state has {n}")
-    phase = np.exp(1j * np.imag(delta.alpha @ np.conj(beta)))
-    return _same_kind(delta, BranchStack(delta.gamma, delta.alpha - beta, delta.r * phase))
+
+def apply_displacement(delta, beta: np.ndarray):
+    """D(β): α → α - β and r picks up the Weyl phase e^{i·Im(αᵀβ̄)}."""
+    gate = Displacement(beta)
+    return _update(delta, gate,
+                   lambda: np.exp(1j * np.imag(delta.alpha @ np.conj(gate.alpha))))
 
 
 def apply_phaseshift(delta, phi: float, j: int):
     """Phase shift on mode j: α_j → e^{-iφ}α_j; r is unchanged."""
-    gate = PhaseShift(float(phi), j)
-    s, _ = gate_symplectic(gate, delta.alpha.shape[-1])
-    alpha = delta.alpha.copy()
-    alpha[..., j - 1] *= np.exp(-1j * gate.phi)
-    return _same_kind(delta, BranchStack(_congruence(s, delta.gamma), alpha, delta.r))
+    return _update(delta, PhaseShift(float(phi), j))
 
 
 def apply_beamsplitter(delta, omega: float, j: int, k: int):
-    """Beamsplitter on modes (j, k): labels mix as α_j → α_j·cos ω - i·α_k·sin ω.
+    """Beamsplitter on modes (j, k): α_j → α_j·cos ω - i·α_k·sin ω; r is unchanged."""
+    return _update(delta, Beamsplitter(float(omega), j, k))
 
-    The coherent-to-coherent label map carries no extra phase, so r is
-    unchanged.
-    """
-    gate = Beamsplitter(float(omega), j, k)
-    s, _ = gate_symplectic(gate, delta.alpha.shape[-1])
-    c, sn = np.cos(gate.omega), np.sin(gate.omega)
-    aj, ak = delta.alpha[..., j - 1], delta.alpha[..., k - 1]
-    alpha = delta.alpha.copy()
-    alpha[..., j - 1] = c * aj - 1j * sn * ak
-    alpha[..., k - 1] = c * ak - 1j * sn * aj
-    return _same_kind(delta, BranchStack(_congruence(s, delta.gamma), alpha, delta.r))
+
+def _squeeze_factor(delta, z: float, j: int) -> np.ndarray:
+    """(cosh z − sinh z·B_jj)^{−½} on the principal branch; PhaseRecoveryError
+    for a zero or non-finite r, BranchPathError for Re(cosh z − sinh z·B_jj) ≤ 0."""
+    _checked_r(delta.r)
+    gamma = delta.gamma
+    q, p = 2 * (j - 1), 2 * j - 1
+    column = np.exp(-z) * gamma[..., 0::2, q] - 1j * np.exp(z) * gamma[..., 0::2, p]
+    column[..., j - 1] += np.exp(z)
+    w = _solve_position(gamma, column[..., None])[..., j - 1, 0]
+    if not (w.real > 0.0).all():
+        raise BranchPathError("cosh z − sinh z·B_jj has no positive real part; "
+                              "the covariance is not valid")
+    return 1.0 / np.sqrt(w)
 
 
 def apply_squeeze(delta, z: float, j: int):
-    """Squeeze mode j by log-factor z: α_j → α_j·cosh z - ᾱ_j·sinh z.
-
-    The new reference overlap is r' = ⟨α', Sψ⟩ = ⟨S†α', ψ⟩ with S = S_j(z).
-    S†|α'⟩ = D(α)S†|0⟩ is the description (S⁻¹S⁻ᵀ, α, 1/√cosh z), α being
-    ψ's own pre-gate label (the anchor of states._squeezed_description), so
-    r' is one pair overlap.  S⁻¹S⁻ᵀ is the same for every branch, so the
-    anchor converts to one Bargmann B, and a stack holding one covariance
-    runs one covariance-pair stage per gate.
-    """
+    """Squeeze mode j by log-factor z: α_j → α_j·cosh z - ᾱ_j·sinh z."""
     gate = Squeeze(float(z), j)
-    s, _ = gate_symplectic(gate, delta.alpha.shape[-1])
-    # S is diagonal, so S⁻¹S⁻ᵀ is diag(S)⁻², exactly symmetric
-    anchor = BranchStack(np.diag(np.diag(s) ** -2.0), delta.alpha,
-                         1.0 / np.sqrt(np.cosh(gate.z)))
-    r_new = np.exp(_log_overlaps(_bargmann(anchor), _bargmann(delta)))
-    aj = delta.alpha[..., j - 1]
-    alpha = delta.alpha.copy()
-    alpha[..., j - 1] = aj * np.cosh(gate.z) - np.conj(aj) * np.sinh(gate.z)
-    return _same_kind(delta, BranchStack(_congruence(s, delta.gamma), alpha, r_new))
+    return _update(delta, gate, lambda: _squeeze_factor(delta, gate.z, j))
 
 
 def apply_unitary(delta, g: Gate):

@@ -354,6 +354,25 @@ def _eye(n: int) -> np.ndarray:
     return eye
 
 
+def _solve_position(gamma: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """G⁻¹·rhs, G = Γ_xx + I − iΓ_xp per covariance: the solve behind B and a
+    squeeze's phase factor; ValidationError if some G is singular."""
+    eye = _eye(gamma.shape[-1] // 2)
+    try:
+        return np.linalg.solve(gamma[..., 0::2, 0::2] + eye - 1j * gamma[..., 0::2, 1::2], rhs)
+    except np.linalg.LinAlgError:
+        raise ValidationError("covariance has no Bargmann form; it is not valid") from None
+
+
+def _checked_r(r) -> np.ndarray:
+    """r as a complex array; PhaseRecoveryError if some r is zero or not finite."""
+    r = np.asarray(r, dtype=complex)
+    if not (r.all() and np.isfinite(r).all()):
+        raise PhaseRecoveryError("a reference overlap is zero or not finite; "
+                                 "no phase to recover")
+    return r
+
+
 def _bargmann(stack) -> _Bargmann:
     """The Bargmann triples of a BranchStack or description (see the module
     docstring), stacked like it; one covariance gives one B.
@@ -361,21 +380,12 @@ def _bargmann(stack) -> _Bargmann:
     log c = log r − ½‖α‖² + ½ᾱᵀBᾱ is computed as log r − ½ᾱᵀb.
 
     Raises:
-        ValidationError: some Γ_xx + I − iΓ_xp is singular, which no valid
-            covariance has.
+        ValidationError: some Γ_xx + I − iΓ_xp is singular.
         PhaseRecoveryError: a reference overlap is zero or not finite.
     """
-    gamma = stack.gamma
-    gxx = gamma[..., 0::2, 0::2]
-    eye = _eye(gxx.shape[-1])
-    try:
-        quad = 2.0 * np.linalg.solve(gxx + eye - 1j * gamma[..., 0::2, 1::2], gxx) - eye
-    except np.linalg.LinAlgError:
-        raise ValidationError("covariance has no Bargmann form; it is not valid") from None
-    r = np.asarray(stack.r, dtype=complex)
-    if not (r.all() and np.isfinite(r).all()):
-        raise PhaseRecoveryError("a reference overlap is zero or not finite; "
-                                 "no phase to recover")
+    gxx = stack.gamma[..., 0::2, 0::2]
+    quad = 2.0 * _solve_position(stack.gamma, gxx) - _eye(gxx.shape[-1])
+    r = _checked_r(stack.r)
     alpha_bar = np.conj(stack.alpha)
     lin = stack.alpha - _mv(quad, alpha_bar)
     return _Bargmann(quad, lin, np.log(r) - 0.5 * _dot(alpha_bar, lin))

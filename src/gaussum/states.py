@@ -15,18 +15,8 @@ from .core import (
     coherent_description,
     vacuum_description,
 )
-from .evolution import apply_displacement
+from .evolution import apply_displacement, apply_squeeze
 from .superposition import GaussianSuperposition, exact_norm
-
-
-def _squeezed_description(z: float) -> GaussianDescription:
-    """Centered squeezed state S(z)|0⟩; z > 0 narrows the position quadrature.
-
-    The reference overlap of the centered squeezed state is 1/√cosh z.
-    """
-    gamma = np.diag([np.exp(-2.0 * z), np.exp(2.0 * z)])
-    return GaussianDescription(
-        gamma, np.zeros(1, dtype=complex), 1.0 / np.sqrt(np.cosh(z)))
 
 
 def cat_state(alpha: complex, parity: str = "even") -> GaussianSuperposition:
@@ -82,7 +72,7 @@ def gkp_comb(z: float, m: int, step: float, envelope_width: float) -> GaussianSu
     indices = np.arange(-int(m), int(m) + 1)
     coeffs = np.exp(-indices.astype(float) ** 2
                     / (2.0 * envelope_width ** 2)).astype(complex)
-    tooth = _squeezed_description(z)
+    tooth = apply_squeeze(vacuum_description(1), z, 1)
     descriptions = tuple(apply_displacement(tooth, [t * step]) for t in indices)
     psi = GaussianSuperposition(coeffs, descriptions)
     return GaussianSuperposition(coeffs / exact_norm(psi), psi.branches)

@@ -264,8 +264,10 @@ def test_criterion_10_runtime_scaling(monkeypatch):
     χ ∈ {32, ..., 1024} and of fast_norm at fixed (ε, p_fail, E) as χ
     (slope 1.0 ± 0.3) over χ ∈ {256, ..., 8192}, all within a 5-minute
     budget.  Each range starts where the pair evaluations, not the fixed
-    cost per call, dominate.  Counted exactly, exact_norm evaluates
-    χ(χ-1)/2 pairs and fast_norm L·χ."""
+    cost per call, dominate: fast_norm runs at E = 50, which draws L = 128
+    probes (E = 2 draws 6, and its χ = 256 call times the fixed cost).
+    Counted exactly, exact_norm evaluates χ(χ-1)/2 pairs and fast_norm
+    L·χ."""
     def chain(chi: int, seed: int) -> GaussianSuperposition:
         gen = np.random.default_rng(seed)
         x = gen.standard_normal((chi, 2))
@@ -278,7 +280,8 @@ def test_criterion_10_runtime_scaling(monkeypatch):
     exact_chis = [32, 64, 128, 256, 512, 1024]
     fast_chis = [256, 512, 1024, 2048, 4096, 8192]
     states = {chi: chain(chi, 100 + chi) for chi in sorted(set(exact_chis + fast_chis))}
-    samples = fast_norm_parameters(2.0, 0.5, 0.25).samples
+    energy = 50.0
+    samples = fast_norm_parameters(energy, 0.5, 0.25).samples
 
     exact_times = []
     for chi in exact_chis:
@@ -295,7 +298,7 @@ def test_criterion_10_runtime_scaling(monkeypatch):
         reps = []
         for _ in range(3):
             t0 = time.perf_counter()
-            fast_norm(states[chi], 0.5, 0.25, 2.0, 12345)
+            fast_norm(states[chi], 0.5, 0.25, energy, 12345)
             reps.append(time.perf_counter() - t0)
         fast_times.append(min(reps))
     slope_fast = np.polyfit(np.log(fast_chis), np.log(fast_times), 1)[0]
@@ -316,7 +319,7 @@ def test_criterion_10_runtime_scaling(monkeypatch):
             f"exact_norm evaluated {sum(pairs)} pairs at χ={chi}")
     for chi in (fast_chis[0], fast_chis[-1]):
         pairs.clear()
-        fast_norm(states[chi], 0.5, 0.25, 2.0, 12345)
+        fast_norm(states[chi], 0.5, 0.25, energy, 12345)
         assert sum(pairs) == samples * chi, (
             f"fast_norm evaluated {sum(pairs)} pairs at χ={chi}, L={samples}")
 

@@ -19,6 +19,7 @@ import json
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import gaussum
@@ -37,7 +38,8 @@ def _load(name: str):
     return module
 
 
-TRACED = _load("tracing").TRACED
+TRACING = _load("tracing")
+TRACED = TRACING.TRACED
 
 # two terms, entangled and squeezed, every mode measured
 ORACLE_REQUEST = json.dumps({
@@ -56,6 +58,22 @@ def test_traced_functions_exist(short):
     for name in TRACED[short]:
         fn = getattr(module, name, None)
         assert inspect.isfunction(fn), f"gaussum.{short}.{name} is not a function"
+
+
+def test_tracer_sees_every_gate_layer():
+    # apply_unitary must reach a squeeze through evolution.apply_squeeze, or
+    # the benchmark's per-layer count of squeezes reads zero
+    psi = gaussum.GaussianSuperposition(np.ones(2), tuple(
+        gaussum.coherent_description([a, 0.2j]) for a in (0.7, -0.7)))
+    tracer = TRACING.Tracer()
+    tracer.install()
+    try:
+        gaussum.circuit.evolve(psi, [gaussum.Squeeze(0.4, 2), gaussum.Beamsplitter(0.5, 1, 2)])
+    finally:
+        tracer.uninstall()
+    names = [span[1] for span in tracer.spans()]
+    assert names.count("evolution.apply_squeeze") == 1, f"spans {names}"
+    assert names.count("evolution.apply_unitary") == 2, f"spans {names}"
 
 
 @pytest.mark.parametrize("keyword", ["seed", "workers", "energy_override"])

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import assert_rel_close, phased_descriptions
 
+from gaussum import evolution, overlaps
 from gaussum.core import (
     Beamsplitter,
     Displacement,
@@ -17,6 +18,7 @@ from gaussum.core import (
     ValidationError,
     coherent_description,
     energy_of_gaussian,
+    gate_symplectic,
     hat_d,
     random_pure_description,
     reference_overlap_magnitude,
@@ -81,6 +83,22 @@ class TestGateFieldActions:
         expected_r = np.exp(1j * np.imag(alpha @ np.conj(beta)))
         assert abs(out.r - expected_r) < 1e-14, f"r = {out.r}"
         assert np.allclose(out.gamma, np.eye(2), atol=1e-14)
+
+    def test_squeeze_label_map(self):
+        # α'_j = α_j·cosh z - ᾱ_j·sinh z; the other modes keep their labels
+        alpha = np.array([0.4 - 0.7j, 0.2 + 0.1j])
+        out = apply_squeeze(coherent_description(alpha), 0.6, 1)
+        expected = np.array([alpha[0] * np.cosh(0.6) - np.conj(alpha[0]) * np.sinh(0.6),
+                             alpha[1]])
+        assert np.allclose(out.alpha, expected, atol=1e-13), f"{out.alpha}"
+
+    def test_gate_symplectic_shift_is_the_center_move(self):
+        # d → Sd + s: a displacement by β moves the label from α to α - β
+        delta = phased_descriptions(17, 2, 1)[0]
+        beta = np.array([0.3 - 0.2j, -0.1 + 0.4j])
+        s, shift = gate_symplectic(Displacement(beta), 2)
+        assert np.array_equal(s, np.eye(4))
+        assert np.allclose(delta.d @ s.T + shift, hat_d(delta.alpha - beta), atol=1e-15)
 
     def test_squeeze_vacuum_frozen(self):
         out = apply_squeeze(vacuum_description(1), 1.0, 1)
@@ -266,6 +284,30 @@ class TestStackedGates:
         stack = stack._replace(r=np.where(np.arange(5) == 3, 0.0, stack.r))
         with pytest.raises(PhaseRecoveryError):
             apply_squeeze(stack, 0.5, 2)
+
+    def test_shared_chain_of_squeezes_solves_once_per_gate(self, monkeypatch):
+        # each squeeze solves once for the one covariance and evaluates no
+        # overlap: no covariance-pair stage runs
+        sizes = []
+        solve = evolution._solve_position
+
+        def counted(gamma, rhs):
+            sizes.append(int(np.prod(gamma.shape[:-2])))
+            return solve(gamma, rhs)
+
+        def no_stage(*args):
+            raise AssertionError("a squeeze ran a covariance-pair stage")
+
+        monkeypatch.setattr(evolution, "_solve_position", counted)
+        monkeypatch.setattr(overlaps, "_seen", no_stage)
+        rng = np.random.default_rng(19)
+        delta = random_pure_description(2, 1.0, rng)
+        stack = BranchStack(delta.gamma[None], rng.normal(size=(16, 2)) + 0j,
+                            delta.r * np.exp(1j * rng.uniform(-np.pi, np.pi, 16)))
+        for z, j in ((0.4, 1), (-0.7, 2), (1.1, 1)):
+            stack = apply_squeeze(stack, z, j)
+        assert sizes == [1, 1, 1], f"solve sizes {sizes}"
+        assert stack.gamma.shape == (1, 4, 4)
 
     def test_wrong_displacement_size_rejected(self):
         stack = stack_branches(phased_descriptions(3, 2, 4))
