@@ -57,11 +57,13 @@ def _congruence(s: np.ndarray, gamma: np.ndarray) -> np.ndarray:
 
 def _update(delta, gate: Gate, factor=None):
     """Γ → SΓSᵀ and d → Sd + s with (S, s) = gate_symplectic(gate), and
-    r → r·factor(), called once gate_symplectic has checked the gate."""
+    r → r·factor(), called once gate_symplectic has checked the gate.  A
+    displacement has S = I and keeps Γ as it is."""
     s, shift = gate_symplectic(gate, delta.alpha.shape[-1])
     r = delta.r if factor is None else delta.r * factor()
     alpha = hat_d_inv(delta.d @ s.T + shift)
-    return _same_kind(delta, BranchStack(_congruence(s, delta.gamma), alpha, r))
+    gamma = delta.gamma if isinstance(gate, Displacement) else _congruence(s, delta.gamma)
+    return _same_kind(delta, BranchStack(gamma, alpha, r))
 
 
 def apply_displacement(delta, beta: np.ndarray):

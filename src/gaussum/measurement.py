@@ -13,18 +13,17 @@ reference overlap needs no anchor beyond the outcome norm: with
 
     r' = ⟨α', Π_βψ⟩ / ‖Π_βψ‖ = ⟨α', ψ⟩ / (πᵏp)^{1/2},
 
-one pair overlap of the coherent state |α'⟩ against ψ: ψ's Bargmann
-function at ᾱ', ⟨α', ψ⟩ = e^{−‖α'‖²/2}·F_ψ(ᾱ'), since |α'⟩ has B = 0
-(see overlaps).
+with ⟨α', ψ⟩ = e^{−‖α'‖²/2}·F_ψ(ᾱ'), ψ's Bargmann function at ᾱ', read
+off ψ's triple with no covariance-pair stage (see overlaps).
 
-Conditioning works in log space: the pair overlap, the norm (πᵏp)^{1/2}
+Conditioning works in log space: the overlap, the norm (πᵏp)^{1/2}
 and the density itself are carried as logs and exponentiated once, so the
 conditioned description is exact for every outcome, and a density below
 the double range reads 0.0 instead of failing.
 
 Every function here takes a GaussianDescription or a whole BranchStack.
 A stack is conditioned on one outcome in one call, its blocks, Schur
-complements and pair overlaps stacked along its leading axes; a stack
+complements and overlaps stacked along its leading axes; a stack
 holding one covariance is conditioned into one.  A description is the
 stack with no leading axis and runs the same code.
 """
@@ -37,10 +36,9 @@ from .core import ValidationError, hat_d, hat_d_inv
 from .overlaps import (
     BranchStack,
     _bargmann,
-    _coherent,
     _dot,
+    _log_coherent_overlaps,
     _log_det_positive,
-    _log_overlaps,
     _mv,
     _same_kind,
     _scalar_or_array,
@@ -87,8 +85,9 @@ def postmeasure(delta, outcome: np.ndarray):
         for every outcome; p is 0.0 when it lies below the double range.
 
     The new reference overlap is r' = ⟨α', Π_βψ⟩/‖Π_βψ‖ = ⟨α', ψ⟩/(πᵏp)^{1/2}
-    with Π_β = |β⟩⟨β| ⊗ I and α' = (β, α'_B): the log pair overlap of the
-    coherent state |α'⟩ (B = 0) against ψ, minus ½(k·log π + log p).
+    with Π_β = |β⟩⟨β| ⊗ I and α' = (β, α'_B): each branch's Bargmann
+    function at its own ᾱ', log⟨α', ψ⟩ = −½‖α'‖² + log F_ψ(ᾱ'), minus
+    ½(k·log π + log p).
 
     Raises:
         ValidationError: the outcome has no modes or more than the state,
@@ -108,7 +107,7 @@ def postmeasure(delta, outcome: np.ndarray):
     d_new = np.concatenate([np.broadcast_to(db, sa.shape), sb + _mv(gba_minv, db - sa)],
                            axis=-1)
     alpha_new = hat_d_inv(d_new)
-    log_r = _log_overlaps(_coherent(alpha_new), _bargmann(delta))
+    log_r = _log_coherent_overlaps(alpha_new, _bargmann(delta))
     r_new = np.exp(log_r - 0.5 * (k * np.log(np.pi) + log_p))
     post = BranchStack(gamma_new, alpha_new, r_new)
     return _same_kind(delta, post), _scalar_or_array(np.exp(log_p))

@@ -15,10 +15,10 @@ come in two flavors:
 * fast_norm is a randomized estimator: it samples coherent probes uniformly
   from a phase-space ball whose radius comes from an energy bound, and
   averages the heterodyne density of the probes against Ψ.  Ψ's branches
-  are converted to Bargmann form once per call, and each block of probes,
-  coherent states written down with B = 0, is evaluated against every
-  branch by the same stacked pair kernel, max(1, GRAM_BLOCK // χ) probes
-  at a time.
+  are converted to Bargmann form once per call, and a probe's overlaps
+  with them are the branches' Bargmann functions at its conjugate label,
+  read off with no covariance-pair stage, at most GRAM_BLOCK probe-branch
+  pairs at a time.
   Each sample touches every branch once, so the cost is O(χ) per sample;
   the parameters target (1±ε)·‖Ψ‖² with probability at least 1-p_fail,
   which is not yet certified (see fast_norm_parameters).
@@ -56,13 +56,12 @@ from .core import (
     _uniform_complex_ball,
     hat_d,
 )
-from .measurement import postmeasure
+from .measurement import heterodyne_density, postmeasure
 from .overlaps import (
     GRAM_BLOCK,
     BranchStack,
     _bargmann,
-    _coherent,
-    _cross,
+    _log_coherent_overlaps,
     energy_gram,
     gram,
     gram_defect,
@@ -249,8 +248,9 @@ def fast_norm(psi: GaussianSuperposition, epsilon: float, p_fail: float,
     from its own stream.  psi.branches are converted to Bargmann form once
     per call; the amplitudes ⟨α_ℓ, ψ_j⟩ of a block are Bargmann functions
     of the branches at ᾱ_ℓ, taken max(1, GRAM_BLOCK // χ) probes at a
-    time, so the kernel's working memory is O(GRAM_BLOCK + χ) whatever L
-    and χ.
+    time against at most GRAM_BLOCK branches, the partial sums over
+    branch blocks added up, so the kernel's working memory is
+    O(GRAM_BLOCK + χ) whatever L and χ.
 
     Args:
         psi: the superposition; cost is O(χ) per sample.
@@ -282,17 +282,20 @@ def fast_norm(psi: GaussianSuperposition, epsilon: float, p_fail: float,
     radius, samples = fast_norm_parameters(energy_bound, epsilon, p_fail)
     weight = radius ** (2 * psi.n) / math.factorial(psi.n)
     ket = _bargmann(psi.branches)
+    columns = [(ket.take(cut), psi.coeffs[cut]) for cut in
+               (slice(lo, lo + GRAM_BLOCK) for lo in range(0, psi.chi, GRAM_BLOCK))]
     rows = max(1, GRAM_BLOCK // psi.chi)
     amplitudes = np.empty(samples, dtype=complex)
 
     def fill(block: int) -> None:
         # one stream per block, not per row slice: a Philox set-up costs tens of µs
         lo = block * GRAM_BLOCK
-        probes = _coherent(_probe_labels(psi.n, int(seed), block,
-                                         min(GRAM_BLOCK, samples - lo), radius))
-        for start in range(0, probes.log_c.size, rows):
-            g = _cross(probes.take(slice(start, start + rows)), ket)
-            amplitudes[lo + start:lo + start + len(g)] = (g * psi.coeffs).sum(axis=1)
+        labels = _probe_labels(psi.n, int(seed), block, min(GRAM_BLOCK, samples - lo), radius)
+        for start in range(0, len(labels), rows):
+            row = labels[start:start + rows, None]
+            amplitudes[lo + start:lo + start + len(row)] = sum(
+                (np.exp(_log_coherent_overlaps(row, part)) * coeffs).sum(axis=1)
+                for part, coeffs in columns)
 
     blocks = range(-(-samples // GRAM_BLOCK))
     workers = min(int(workers), len(blocks))
@@ -336,8 +339,9 @@ def _projected_norm_sq(psi: GaussianSuperposition, outcome: np.ndarray) -> float
     so Π_β Ψ = |β⟩ ⊗ Σ_j c'_j φ_j and ‖Π_β Ψ‖ = ‖Σ_j c'_j φ_j‖:
 
     * k = n: Π_β Ψ = |β⟩⟨β, Ψ⟩, and the norm is |Σ_j c_j ⟨β, ψ_j⟩|, one
-      row of the coherent |β⟩ (B = 0) against the stack, each entry checked
-      against the phase-free pair fidelity.
+      row of the branches' Bargmann functions at β̄, each |⟨β, ψ_j⟩|²
+      checked against the phase-free pair fidelity πⁿ·p_j(β), the branch's
+      heterodyne density from its covariance and center alone.
       There is no conditioning, no Gram matrix and no branch dropping.
     * k < n: φ_j is the unmeasured block of the conditioned branch j,
       (Γ_BB, α'_B, r'), with r' unchanged since ⟨β, β⟩ = 1; the sliced
@@ -350,10 +354,10 @@ def _projected_norm_sq(psi: GaussianSuperposition, outcome: np.ndarray) -> float
     """
     n = psi.n
     if outcome.size == n:
-        row = _cross(_coherent(outcome[None]), _bargmann(psi.branches))
-        probe = BranchStack(np.eye(2 * n)[None], outcome[None], np.ones(1, dtype=complex))
-        _require_fidelity(gram_defect(probe, row, psi.branches))
-        return float(np.abs((psi.coeffs * row[0]).sum()) ** 2)
+        row = np.exp(_log_coherent_overlaps(outcome, _bargmann(psi.branches)))
+        fidelity = np.pi ** n * heterodyne_density(psi.branches, outcome)
+        _require_fidelity(float(np.max(np.abs(np.abs(row) ** 2 - fidelity))))
+        return float(np.abs((psi.coeffs * row).sum()) ** 2)
     post = post_measurement_superposition(psi, outcome)
     k = outcome.size
     gamma, alpha, r = post.branches

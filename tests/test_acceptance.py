@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from gaussum import overlaps
+from gaussum import overlaps, superposition
 from gaussum.circuit import CircuitSpec, MeasureSpec, simulate_approx
 from gaussum.core import (
     Beamsplitter,
@@ -304,14 +304,19 @@ def test_criterion_10_runtime_scaling(monkeypatch):
     slope_fast = np.polyfit(np.log(fast_chis), np.log(fast_times), 1)[0]
 
     pairs = []
-    kernel = overlaps._pair_overlaps
 
-    def counted(a, b):
-        values = kernel(a, b)
-        pairs.append(np.size(values))
-        return values
+    def counted(kernel):
+        def wrapped(a, b):
+            values = kernel(a, b)
+            pairs.append(np.size(values))
+            return values
+        return wrapped
 
-    monkeypatch.setattr(overlaps, "_pair_overlaps", counted)
+    # Gram pairs go through the pair kernel, probe pairs through the
+    # coherent-bra rows
+    monkeypatch.setattr(overlaps, "_pair_overlaps", counted(overlaps._pair_overlaps))
+    monkeypatch.setattr(superposition, "_log_coherent_overlaps",
+                        counted(superposition._log_coherent_overlaps))
     for chi in (exact_chis[0], exact_chis[-1]):
         pairs.clear()
         exact_norm(states[chi])

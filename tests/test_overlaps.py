@@ -67,6 +67,7 @@ from gaussum.superposition import (
     _probe_labels,
     exact_norm,
     fast_norm,
+    measureprob_exact,
     post_measurement_superposition,
 )
 
@@ -741,8 +742,9 @@ class TestTwoStageKernel:
         exact_norm(psi)
         assert sizes == [1], f"stage sizes {sizes}: one stage of one pair per call"
         sizes.clear()
+        # the probes are coherent bras: no covariance-pair stage at all
         fast_norm(psi, 0.5, 0.25, 2.0, 7)
-        assert sizes == [1], f"fast_norm stage sizes {sizes}"
+        assert sizes == [], f"fast_norm stage sizes {sizes}"
 
     def test_unshared_stack_runs_one_covariance_stage_per_pair(self, monkeypatch):
         psi = GaussianSuperposition(np.ones(9), phased_descriptions(91, 2, 9))
@@ -754,16 +756,29 @@ class TestTwoStageKernel:
         sizes = self._stage_sizes(monkeypatch)
         psi = _coherent_chain(2, 64, 90)
         assert psi.chi == 64
-        # the two squeezes run no covariance-pair stage; the outcome runs one
-        # of one pair
-        assert sizes == [1], f"stage sizes {sizes}"
+        # neither the two squeezes nor the outcome run a covariance-pair stage
+        assert sizes == [], f"stage sizes {sizes}"
 
     def test_unshared_stack_squeezes_and_conditions_per_branch(self, monkeypatch):
         stack = stack_branches(phased_descriptions(92, 2, 9))
         sizes = self._stage_sizes(monkeypatch)
         apply_squeeze(stack, 0.4, 1)
         postmeasure(stack, np.array([0.3 - 0.2j]))
-        assert sizes == [9], f"stage sizes {sizes}"
+        assert sizes == [], f"stage sizes {sizes}"
+
+    def test_coherent_bras_run_no_stage_and_no_gather(self, monkeypatch):
+        # probes, the k = n outcome row and the conditioned label are read
+        # off the branches' Bargmann functions, on shared and unshared stacks
+        def refused(*args, **kwargs):
+            raise AssertionError("a coherent bra reached the pair stage or the pair gather")
+
+        monkeypatch.setattr(overlaps, "_seen", refused)
+        monkeypatch.setattr(overlaps, "_blocked", refused)
+        for psi in (_coherent_chain(2, 16, 97),
+                    GaussianSuperposition(np.ones(9), phased_descriptions(98, 2, 9))):
+            assert np.isfinite(fast_norm(psi, 0.5, 0.25, 2.0, 7))
+            assert np.isfinite(measureprob_exact(psi, np.array([0.3 - 0.2j, 0.1j])))
+            postmeasure(psi.branches, np.array([0.3 - 0.2j]))
 
     def test_gram_defect_is_blocked(self, monkeypatch):
         chi = 34
@@ -900,6 +915,23 @@ class TestBargmannKernel:
                              + 0.5 * v @ form.quad @ v + form.lin @ v)
                 want = complex(fock_project(state, beta)[0])
                 assert abs(got - want) < 1e-9, f"after {gate}: {got} vs oracle {want}"
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_coherent_rows_match_gram_of_coherent_stack(self, n):
+        # ⟨α, ψ⟩ read off ψ's triple against gram with the coherent states as
+        # a Γ = I bra stack: labels with |α| ≤ 3 against kets squeezed up to
+        # z = 2, every label against every ket and each of nine against its own
+        labels = _probe_labels(n, 200 + n, 0, 13, 3.0)
+        coherent = BranchStack(np.eye(2 * n)[None], labels, np.ones(13, dtype=complex))
+        for what, ket in (
+                ("unshared", stack_branches(phased_descriptions(210 + n, n, 9, z_max=2.0))),
+                ("shared", _shared_stack(220 + n, n, 9, 2.0))):
+            form = overlaps._bargmann(ket)
+            want = gram(coherent, ket)
+            rows = np.exp(overlaps._log_coherent_overlaps(labels[:, None], form))
+            _assert_each_rel_close(rows, want, 1e-15, f"{what} rows")
+            own = np.exp(overlaps._log_coherent_overlaps(labels[:9], form))
+            _assert_each_rel_close(own, np.diag(want[:9]), 1e-15, f"{what}, own labels")
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_pairs_match_gate_built_oracle_states(self, n):

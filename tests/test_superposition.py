@@ -288,8 +288,9 @@ class TestFastNorm:
             fast_norm(psi, 0.2, 0.25, 4.0, 1, workers=workers)
 
     def test_working_memory_bounded_at_large_chi(self, monkeypatch):
-        # χ = 1024 > GRAM_BLOCK and L = 637 > GRAM_BLOCK: no kernel call and
-        # no blocked kernel output holds more than max(GRAM_BLOCK, χ) pairs
+        # χ = 1024 > GRAM_BLOCK and L = 637 > GRAM_BLOCK: no kernel call holds
+        # more than GRAM_BLOCK pairs, and no kernel output, the largest array
+        # over pairs, more than max(GRAM_BLOCK, χ)
         chi = 1024
         x = np.random.default_rng(404).standard_normal((chi, 2))
         psi = GaussianSuperposition(
@@ -297,25 +298,19 @@ class TestFastNorm:
             tuple(coherent_description(np.array([0.5 * complex(*row)])) for row in x))
         samples = fast_norm_parameters(2.0, 0.1, 0.25).samples
         assert samples > GRAM_BLOCK
-        kernel_sizes, output_sizes = [], []
-        kernel, blocked = overlaps._pair_overlaps, overlaps._blocked
+        kernel_sizes = []
+        kernel = superposition._log_coherent_overlaps
 
-        def counted_kernel(a, b):
-            values = kernel(a, b)
+        def counted_kernel(alpha, ket):
+            values = kernel(alpha, ket)
             kernel_sizes.append(np.size(values))
             return values
 
-        def counted_blocked(*args, **kwargs):
-            values = blocked(*args, **kwargs)
-            output_sizes.append(np.size(values))
-            return values
-
-        monkeypatch.setattr(overlaps, "_pair_overlaps", counted_kernel)
-        monkeypatch.setattr(overlaps, "_blocked", counted_blocked)
+        monkeypatch.setattr(superposition, "_log_coherent_overlaps", counted_kernel)
         fast_norm(psi, 0.1, 0.25, 2.0, 7)
         assert sum(kernel_sizes) == samples * chi
         assert max(kernel_sizes) <= GRAM_BLOCK
-        assert max(output_sizes) <= max(GRAM_BLOCK, chi)
+        assert max(kernel_sizes) <= max(GRAM_BLOCK, chi)
 
     def test_block_probe_labels_match_per_sample_formula(self):
         # Block b draws all its normals, then all its uniforms, from
@@ -487,10 +482,10 @@ class TestMeasureprob:
     def test_every_mode_measured_is_one_row(self, monkeypatch, n, chi):
         # k = n: χ pairs of |β⟩ against the stack, and no conditioning
         pairs = []
-        kernel = overlaps._pair_overlaps
+        kernel = superposition._log_coherent_overlaps
 
-        def counted(a, b):
-            values = kernel(a, b)
+        def counted(alpha, ket):
+            values = kernel(alpha, ket)
             pairs.append(np.size(values))
             return values
 
@@ -498,7 +493,7 @@ class TestMeasureprob:
             raise AssertionError("postmeasure called with every mode measured")
 
         psi = random_superposition(720 + chi, n=n, chi=chi, z_max=0.6, alpha_max=0.8)
-        monkeypatch.setattr(overlaps, "_pair_overlaps", counted)
+        monkeypatch.setattr(superposition, "_log_coherent_overlaps", counted)
         monkeypatch.setattr(superposition, "postmeasure", refused)
         measureprob_exact(psi, np.full(n, 0.3 - 0.2j))
         assert sum(pairs) == chi, f"{sum(pairs)} pairs at χ={chi}"
