@@ -565,8 +565,9 @@ def gram(psi_a: BranchStack, psi_b: Optional[BranchStack] = None) -> np.ndarray:
         return g
     if psi_a.gamma.shape[-1] != psi_b.gamma.shape[-1]:
         raise ValidationError("descriptions have different mode counts")
-    k, j = _cross_indices(chi_a, psi_b.r.size)
-    return _pairs(_pair_overlaps, a, k, _bargmann(psi_b), j).reshape(chi_a, psi_b.r.size)
+    chi_b = psi_b.r.size
+    k, j = _cross_indices(chi_a, chi_b)
+    return _pairs(_pair_overlaps, a, k, _bargmann(psi_b), j).reshape(chi_a, chi_b)
 
 
 def _overlaps_and_energies(bra: _Bargmann, ket: _Seen) -> np.ndarray:

@@ -282,8 +282,8 @@ def fast_norm(psi: GaussianSuperposition, epsilon: float, p_fail: float,
     radius, samples = fast_norm_parameters(energy_bound, epsilon, p_fail)
     weight = radius ** (2 * psi.n) / math.factorial(psi.n)
     ket = _bargmann(psi.branches)
-    columns = [(ket.take(cut), psi.coeffs[cut]) for cut in
-               (slice(lo, lo + GRAM_BLOCK) for lo in range(0, psi.chi, GRAM_BLOCK))]
+    columns = [(ket.take(slice(lo, lo + GRAM_BLOCK)), psi.coeffs[lo:lo + GRAM_BLOCK])
+               for lo in range(0, psi.chi, GRAM_BLOCK)]
     rows = max(1, GRAM_BLOCK // psi.chi)
     amplitudes = np.empty(samples, dtype=complex)
 
